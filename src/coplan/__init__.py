@@ -7,33 +7,8 @@ each side's externality with optional activity fees, contract menus, and
 rolling-horizon cost-benefit transfers.
 """
 
-from .consensus import (
-    BestResponse,
-    ConsensusConfig,
-    ConsensusResult,
-    ConsensusState,
-    LocalEndpoint,
-    PlanAgent,
-    RetailerAgent,
-    SupplierAgent,
-    best_response,
-    coordinator_step,
-    run_consensus,
-)
-from .dynamic import (
-    InventoryModel,
-    RollingState,
-    cbt_full_horizon,
-    cbt_one_week,
-    commitment_baseline,
-    coordinated_plan,
-    jit_policy,
-    joint_flow_utility,
-    retailer_flow_utility,
-    roll_forward,
-    simulate,
-    supplier_flow_utility,
-)
+from .consensus import ConsensusConfig, RetailerAgent, SupplierAgent, run_consensus
+from .dynamic import InventoryModel, simulate
 from .errors import (
     AgentTimeoutError,
     CoplanError,
@@ -47,42 +22,22 @@ from .errors import (
     StateError,
 )
 from .mechanism import (
-    BudgetDiagnosis,
     FeePolicy,
-    MenuChoice,
-    MenuOffer,
-    SettlementReport,
-    StatusQuo,
     budget_balance_check,
     build_menu,
-    coordination_gain,
     default_menu_plans,
-    deviation_penalty,
     efficient_plan,
-    jit_plan,
     standalone_plans,
     supplier_choose,
     vcg_transfers,
 )
-from .protocol import AgentServer, Message, RemoteAgent, decode, encode, query_agents, serve_agent
-from .reports import Report, run
-from .scenario import (
-    DynamicSettings,
-    Scenario,
-    bundled_scenario_path,
-    load_scenario,
-    save_scenario,
-    scenario_from_dict,
-)
+from .protocol import AgentServer, RemoteAgent
 from .transport import (
     RetailerSpec,
     SupplierSpec,
-    TransportSolution,
-    UtilityEvaluation,
     retailer_utility,
     solve_transport,
     supplier_utility,
-    utility_supergradient,
 )
 
 __version__ = "0.1.0"

@@ -13,7 +13,6 @@ address from ``COPLAN_LISTEN`` when set) and coordinates over the wire.
 """
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 
@@ -60,10 +59,7 @@ def main(argv=None):
                 analyses.remove("dynamic")
         else:
             analyses = [a.strip() for a in args.analyses.split(",") if a.strip()]
-        trace = None
-        if args.trace:
-            trace = lambda rec: sys.stderr.write(
-                json.dumps(rec, separators=(",", ":")) + "\n")
+        trace = sys.stderr if args.trace else None
         report = run(scenario, analyses=analyses, trace=trace, seed=args.seed)
     except CoplanError as exc:
         print(f"error: {exc}", file=sys.stderr)

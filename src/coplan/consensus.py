@@ -163,9 +163,6 @@ class LocalEndpoint:
         # score the nearest plan the agent could actually execute.
         return float(self.agent.evaluate(self.agent.project(plan))[0])
 
-    def close(self):
-        pass
-
 
 @dataclass(frozen=True)
 class ConsensusConfig:

@@ -99,50 +99,97 @@ def jit_policy(model, state, pinned_first=None):
     target (the forecast itself) the free sequence maximizes total retailer
     flow utility.
     """
+    return _order_up_to(model, state, () if pinned_first is None else (float(pinned_first),))
+
+
+def _order_up_to(model, state, prefix):
+    """Window orders that keep the fixed ``prefix`` and fill every later week
+    up to its target inventory."""
     window = model.window(state.week)
     orders = np.zeros(window.size)
     on = state.on_hand
     for idx, t in enumerate(window):
-        if idx == 0 and pinned_first is not None:
-            orders[idx] = float(pinned_first)
+        if idx < len(prefix):
+            orders[idx] = prefix[idx]
         else:
             orders[idx] = max(model.target_inventory[t] - on, 0.0)
-        available = on + orders[idx]
-        on = max(available - model.forecasts[t], 0.0)
+        on = max(on + orders[idx] - model.forecasts[t], 0.0)
     return orders
+
+
+def _binding_prefix(model, state):
+    """Orders of the plan of record that still bind in the current window
+    (none outside ``full-horizon`` commitment)."""
+    if state.mode == "full-horizon" and state.plan_of_record is not None:
+        return np.asarray(state.plan_of_record, dtype=float)[:model.window(state.week).size]
+    return np.asarray([], dtype=float)
+
+
+def _window_orders(model, orders, state):
+    orders = np.asarray(orders, dtype=float)
+    size = model.window(state.week).size
+    if orders.shape != (size,):
+        raise DimensionError(f"expected {size} orders, got {orders.shape}")
+    return orders
+
+
+def _retailer_roll(model, orders, state):
+    """Roll inventory through the window at forecast demand: per-week retailer
+    flow utility and a supergradient of its total in the orders."""
+    n = orders.size
+    # python floats round exactly like numpy's and step faster in the loop
+    f = model.forecasts[state.week:state.week + n].tolist()
+    x = orders.tolist()
+    m, h, p = model.retailer_margin, model.holding_cost, model.lost_sales_cost
+    weekly = np.zeros(n)
+    on = state.on_hand
+    # d(on_t)/d(orders): active whenever inventory stays positive
+    on_grad = np.zeros(n)
+    hold_grad = np.zeros(n)
+    for idx in range(n):
+        available = on + x[idx]
+        if available - f[idx] > 0.0:
+            on = available - f[idx]
+            sales = f[idx]
+            on_grad[idx] += 1.0
+        else:
+            on = 0.0
+            sales = available
+            on_grad = np.zeros(n)
+        weekly[idx] = m * sales - h * on - p * (f[idx] - sales)
+        hold_grad += h * on_grad
+    grad = (m + p) * np.ones(n) - (m + p) * on_grad - hold_grad
+    return weekly, grad
+
+
+def _supplier_weeks(model, orders, state):
+    """Per-week supplier flow utility and the gradient of its total."""
+    m, kappa = model.supplier_margin, model.smoothing_cost
+    weekly = np.zeros(orders.size)
+    diffs = np.zeros(orders.size)
+    prev = state.last_order
+    for idx in range(orders.size):
+        # a scalar ``** 2`` (libm pow) may differ from the array square in
+        # the last bit; weekly values stay scalar so reports keep their bits
+        diffs[idx] = orders[idx] - prev
+        weekly[idx] = m * orders[idx] - kappa * diffs[idx] ** 2
+        prev = orders[idx]
+    grad = m - 2.0 * kappa * diffs
+    grad[:-1] += 2.0 * kappa * diffs[1:]
+    return weekly, grad
 
 
 def retailer_flow_utility(model, orders, state):
     """Per-week retailer flow utility of an order sequence and its total,
     propagating inventory through the window at forecast demand."""
-    window = model.window(state.week)
-    orders = np.asarray(orders, dtype=float)
-    if orders.shape != (window.size,):
-        raise DimensionError(f"expected {window.size} orders, got {orders.shape}")
-    m, h, p = model.retailer_margin, model.holding_cost, model.lost_sales_cost
-    weekly = np.zeros(window.size)
-    on = state.on_hand
-    for idx, t in enumerate(window):
-        available = on + orders[idx]
-        sales = min(model.forecasts[t], available)
-        on = available - sales
-        weekly[idx] = m * sales - h * on - p * (model.forecasts[t] - sales)
+    weekly, _ = _retailer_roll(model, _window_orders(model, orders, state), state)
     return weekly, float(weekly.sum())
 
 
 def supplier_flow_utility(model, orders, state):
     """Per-week supplier flow utility: margin on the order minus the
     production-smoothing cost of week-over-week changes."""
-    window = model.window(state.week)
-    orders = np.asarray(orders, dtype=float)
-    if orders.shape != (window.size,):
-        raise DimensionError(f"expected {window.size} orders, got {orders.shape}")
-    prev = state.last_order
-    weekly = np.zeros(window.size)
-    for idx in range(window.size):
-        weekly[idx] = (model.supplier_margin * orders[idx]
-                       - model.smoothing_cost * (orders[idx] - prev) ** 2)
-        prev = orders[idx]
+    weekly, _ = _supplier_weeks(model, _window_orders(model, orders, state), state)
     return weekly, float(weekly.sum())
 
 
@@ -151,78 +198,44 @@ def joint_flow_utility(model, orders, state):
         supplier_flow_utility(model, orders, state)[1]
 
 
-class DynamicRetailerAgent(PlanAgent):
-    """Retailer flow utility over the free weeks of a window, conditioned on
-    committed prefix orders.  Orders are capped at the window's uncovered
-    forecast total (stock beyond the episode's demand has no retail value)."""
+class _WindowAgent(PlanAgent):
+    """Flow utility over the free weeks of the current window, conditioned on
+    committed prefix orders."""
 
     def __init__(self, model, state, prefix=()):
         self.model = model
         self.state = state
         self.prefix = np.asarray(prefix, dtype=float)
-        window = model.window(state.week)
-        self.window = window
-        self.dim = window.size - self.prefix.size
+        self.window = model.window(state.week)
+        self.dim = self.window.size - self.prefix.size
         if self.dim <= 0:
             raise ParameterError("no free weeks to plan")
-        cap = max(float(model.forecasts[window].sum()) - state.on_hand, 0.0)
+
+    def _orders(self, plan):
+        return np.concatenate([self.prefix, np.asarray(plan, dtype=float)])
+
+
+class DynamicRetailerAgent(_WindowAgent):
+    """Retailer flow utility over the free weeks, capped at the window's
+    uncovered forecast total (stock beyond demand has no retail value)."""
+
+    def __init__(self, model, state, prefix=()):
+        super().__init__(model, state, prefix)
+        cap = max(float(model.forecasts[self.window].sum()) - state.on_hand, 0.0)
         self.total_cap = max(cap - float(self.prefix.sum()), 0.0)
 
     def evaluate(self, plan):
-        model, state = self.model, self.state
-        orders = np.concatenate([self.prefix, np.asarray(plan, dtype=float)])
-        f = model.forecasts[self.window]
-        m, h, p = model.retailer_margin, model.holding_cost, model.lost_sales_cost
-        n = orders.size
-        value = 0.0
-        on = state.on_hand
-        # d(on_t)/d(orders): active whenever inventory stays positive
-        on_grad = np.zeros(n)
-        hold_grad = np.zeros(n)
-        for idx in range(n):
-            available = on + orders[idx]
-            if available - f[idx] > 0.0:
-                on = available - f[idx]
-                sales = f[idx]
-                on_grad[idx] += 1.0
-            else:
-                on = 0.0
-                sales = available
-                on_grad = np.zeros(n)
-            value += m * sales - h * on - p * (f[idx] - sales)
-            hold_grad += h * on_grad
-        grad = (m + p) * np.ones(n) - (m + p) * on_grad - hold_grad
-        return value, grad[self.prefix.size:]
+        weekly, grad = _retailer_roll(self.model, self._orders(plan), self.state)
+        return float(weekly.sum()), grad[self.prefix.size:]
 
 
-class DynamicSupplierAgent(PlanAgent):
+class DynamicSupplierAgent(_WindowAgent):
     """Supplier flow utility over the free weeks, anchored at the last issued
     order (and any committed prefix) for the smoothing term."""
 
-    def __init__(self, model, state, prefix=()):
-        self.model = model
-        self.state = state
-        self.prefix = np.asarray(prefix, dtype=float)
-        window = model.window(state.week)
-        self.dim = window.size - self.prefix.size
-        if self.dim <= 0:
-            raise ParameterError("no free weeks to plan")
-        self.total_cap = None
-
-    @property
-    def _anchor(self):
-        return float(self.prefix[-1]) if self.prefix.size else self.state.last_order
-
     def evaluate(self, plan):
-        model = self.model
-        orders = np.concatenate([self.prefix, np.asarray(plan, dtype=float)])
-        m, kappa = model.supplier_margin, model.smoothing_cost
-        shifted = np.concatenate([[self.state.last_order], orders[:-1]])
-        diffs = orders - shifted
-        value = float(m * orders.sum() - kappa * np.sum(diffs ** 2))
-        grad = m - 2.0 * kappa * diffs
-        grad[:-1] += 2.0 * kappa * diffs[1:]
-        return value, grad[self.prefix.size:]
+        weekly, grad = _supplier_weeks(self.model, self._orders(plan), self.state)
+        return float(weekly.sum()), grad[self.prefix.size:]
 
     def prox_respond(self, prices, z, rho):
         """Exact proximal best response: the objective is a strictly concave
@@ -240,7 +253,8 @@ class DynamicSupplierAgent(PlanAgent):
                 H[t, t + 1] -= 2.0 * kappa
                 H[t + 1, t] -= 2.0 * kappa
         b = m - prices + rho * z
-        b[0] += 2.0 * kappa * self._anchor
+        b[0] += 2.0 * kappa * (float(self.prefix[-1]) if self.prefix.size
+                               else self.state.last_order)
         pinned = np.zeros(n, dtype=bool)
         for _ in range(4 * n + 8):
             y = np.zeros(n)
@@ -287,11 +301,8 @@ def coordinated_plan(model, state, config=None, warm_plan=None, warm_prices=None
     previous week's shifted solution, which typically converges in a handful
     of iterations).
     """
-    window = model.window(state.week)
-    prefix = np.asarray([], dtype=float)
-    if state.mode == "full-horizon" and state.plan_of_record is not None:
-        prefix = np.asarray(state.plan_of_record, dtype=float)[:window.size]
-    free = window.size - prefix.size
+    prefix = _binding_prefix(model, state)
+    free = model.window(state.week).size - prefix.size
     if free == 0:
         return CoordinatedPlan(orders=prefix.copy(), free_weeks=0, converged=True,
                                iterations=0, fallback_to_baseline=False,
@@ -326,19 +337,7 @@ def coordinated_plan(model, state, config=None, warm_plan=None, warm_prices=None
 def commitment_baseline(model, state):
     """No-coordination reference for the current window: the binding plan of
     record (if any) extended week by week with order-up-to fills."""
-    window = model.window(state.week)
-    committed = np.asarray([], dtype=float)
-    if state.mode == "full-horizon" and state.plan_of_record is not None:
-        committed = np.asarray(state.plan_of_record, dtype=float)[:window.size]
-    orders = np.zeros(window.size)
-    on = state.on_hand
-    for idx, t in enumerate(window):
-        if idx < committed.size:
-            orders[idx] = committed[idx]
-        else:
-            orders[idx] = max(model.target_inventory[t] - on, 0.0)
-        on = max(on + orders[idx] - model.forecasts[t], 0.0)
-    return orders
+    return _order_up_to(model, state, _binding_prefix(model, state))
 
 
 def cbt_one_week(model, state, plan, jit_orders=None):
@@ -360,11 +359,8 @@ def cbt_full_horizon(model, state, plan, baseline=None):
     the commitment baseline minus under the agreed plan."""
     if state.mode != "full-horizon":
         raise StateError("full-horizon payment requires full-horizon commitment mode")
-    plan = np.asarray(plan, dtype=float)
     if baseline is None:
         baseline = commitment_baseline(model, state)
-    if plan.shape != baseline.shape:
-        raise DimensionError("plan and baseline cover different windows")
     _, base_total = retailer_flow_utility(model, baseline, state)
     _, plan_total = retailer_flow_utility(model, plan, state)
     return base_total - plan_total
@@ -390,10 +386,7 @@ class WeekRecord:
 def roll_forward(model, state, realized_demand, plan):
     """Issue the week's coordinated order, settle the week's payment, update
     inventory with realized demand, and advance the state."""
-    plan = np.asarray(plan, dtype=float)
-    window = model.window(state.week)
-    if plan.shape != (window.size,):
-        raise DimensionError(f"plan must cover the {window.size}-week window")
+    plan = _window_orders(model, plan, state)
     jit_orders = jit_policy(model, state)
     if state.mode == "none":
         cbt = cbt_one_week(model, state, plan, jit_orders)

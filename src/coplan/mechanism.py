@@ -12,20 +12,16 @@ can possibly sell has no retail value, and leaving the total uncapped would
 let gross supplier margin on unsellable units masquerade as joint surplus.
 """
 
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import linprog
 
 from ._qp import project_capped
-from .consensus import (
-    ConsensusConfig,
-    PlanAgent,
-    SupplierAgent,
-    run_consensus,
-)
+from .consensus import ConsensusConfig, RetailerAgent, SupplierAgent, run_consensus
 from .errors import InfeasibleError, ParameterError
-from .transport import as_plan, retailer_utility, supplier_utility
+from .transport import as_plan, retailer_utility, solve_transport, supplier_utility
 
 _TOL = 1e-9
 
@@ -147,65 +143,43 @@ def standalone_plans(retailer, supplier, mode="jit-derived", explicit=None):
     if mode != "jit-derived":
         raise ParameterError(f"unknown status-quo mode {mode!r}")
     order = jit_plan(retailer)
-    if order.sum() <= supplier.total_capacity + _TOL:
-        return StatusQuo(retailer_plan=order, supplier_plan=order.copy(), mode="jit-derived")
-    confirmed = _best_confirmation(supplier, order)
+    confirmed = order.copy()
+    if order.sum() > supplier.total_capacity + _TOL:
+        confirmed = _best_confirmation(supplier, order)
     return StatusQuo(retailer_plan=order, supplier_plan=confirmed, mode="jit-derived")
 
 
 def _best_confirmation(supplier, order):
     """Utility-maximizing partial confirmation 0 <= x <= order of an order the
-    supplier cannot fill completely."""
-    K, I = supplier.arc_costs.shape
-    n = I + K * I
-    c = np.zeros(n)
-    c[:I] = -supplier.gross_profit
-    c[I:] = supplier.arc_costs.reshape(-1)
-    A = []
-    b = []
-    for i in range(I):  # deliveries cover the confirmed quantity
-        row = np.zeros(n)
-        row[i] = 1.0
-        for k in range(K):
-            row[I + k * I + i] = -1.0
-        A.append(row)
-        b.append(0.0)
-    for k in range(K):  # source capacity
-        row = np.zeros(n)
-        row[I + k * I:I + (k + 1) * I] = 1.0
-        A.append(row)
-        b.append(supplier.capacities[k])
-    bounds = [(0.0, float(q)) for q in order] + [(0.0, None)] * (K * I)
-    res = linprog(c, A_ub=np.asarray(A), b_ub=np.asarray(b), bounds=bounds, method="highs")
-    if res.status != 0:  # pragma: no cover - the zero plan is always feasible
-        raise InfeasibleError(f"confirmation LP failed: {res.message}")
-    return res.x[:I].copy()
+    supplier cannot fill completely: a transport problem over margin-netted
+    costs whose unconfirmed units fall to a free slack source."""
+    sol = solve_transport(supplier.arc_costs - supplier.gross_profit,
+                          row_bounds=supplier.capacities, col_requirements=order,
+                          slack_penalty=0.0)
+    return sol.flow.sum(axis=0)
 
 
-class BoostedRetailerAgent(PlanAgent):
+class BoostedRetailerAgent(RetailerAgent):
     """Retailer agent whose reported utility carries the fee-policy bias."""
 
     def __init__(self, spec, fee, standalone_plan=None):
-        self.spec = spec
+        super().__init__(spec)
         self.fee = fee
-        self.dim = spec.n_inbound
-        self.total_cap = float(spec.demand.sum())
         self.reference = None if standalone_plan is None else np.asarray(standalone_plan, float)
         if fee.variant == "linear_deviation" and self.reference is None:
             raise ParameterError("linear_deviation boosting needs the standalone plan")
 
     def evaluate(self, plan):
-        ev = retailer_utility(self.spec, plan)
+        value, grad = super().evaluate(plan)
         scale = self.fee.report_scale
-        value = scale * ev.value
-        grad = scale * ev.supergradient
+        value = scale * value
+        grad = scale * grad
         if self.fee.variant == "additive":
             value += self.fee.alpha
         elif self.fee.variant == "linear_deviation":
-            x = np.asarray(plan, dtype=float)
-            delta = x - self.reference
-            value -= (self.fee.over_rate * delta.clip(min=0).sum()
-                      + self.fee.under_rate * (-delta).clip(min=0).sum())
+            value -= deviation_penalty(plan, self.reference, self.fee.over_rate,
+                                       self.fee.under_rate)
+            delta = np.asarray(plan, dtype=float) - self.reference
             pen_grad = np.where(delta > _TOL, self.fee.over_rate,
                                 np.where(delta < -_TOL, -self.fee.under_rate, 0.0))
             grad = grad - pen_grad
@@ -222,24 +196,41 @@ def efficient_plan(retailer, supplier, fee=None, method="centralized",
     limit back into X.
     """
     fee = fee or FeePolicy.none()
-    needs_reference = fee.variant == "linear_deviation"
-    if needs_reference and status_quo is None:
+    if fee.variant == "linear_deviation" and status_quo is None:
         status_quo = standalone_plans(retailer, supplier)
-    reference = status_quo.retailer_plan if status_quo is not None else None
 
     if method == "centralized":
+        reference = status_quo.retailer_plan if status_quo is not None else None
         return _efficient_plan_lp(retailer, supplier, fee, reference)
     if method != "cpp":
         raise ParameterError(f"unknown method {method!r}")
+    return consensus_plan(retailer, supplier, fee=fee, status_quo=status_quo,
+                          config=config)[0]
 
-    boosted = BoostedRetailerAgent(retailer, fee, standalone_plan=reference)
+
+def consensus_plan(retailer, supplier, fee=None, status_quo=None, config=None,
+                   endpoints=None, trace=None):
+    """Efficient plan by the consensus loop, projected back into X, and the
+    :class:`ConsensusResult`.  The loop starts from the status-quo order (else
+    the standalone order) unless ``config`` pins a start.  ``endpoints``, when
+    given, is called as ``endpoints(agents, rho)`` and must be a context
+    manager yielding the endpoints to coordinate (``protocol.served``)."""
+    fee = fee or FeePolicy.none()
+    reference = status_quo.retailer_plan if status_quo is not None else None
     cfg = config or ConsensusConfig(eps_abs=1e-6, eps_rel=1e-6, adapt_rho=True)
     if cfg.initial_plan is None:
-        start = status_quo.retailer_plan if status_quo is not None else jit_plan(retailer)
+        start = reference if reference is not None else jit_plan(retailer)
         cfg = replace(cfg, initial_plan=start)
-    result = run_consensus([boosted, SupplierAgent(supplier)], cfg)
+    agents = [BoostedRetailerAgent(retailer, fee, standalone_plan=reference),
+              SupplierAgent(supplier)]
+    if endpoints is not None and cfg.adapt_rho:
+        raise ParameterError(
+            "adaptive penalty cannot run over the wire protocol: sessions pin rho "
+            "at the handshake")
+    with nullcontext(agents) if endpoints is None else endpoints(agents, cfg.rho) as parties:
+        result = run_consensus(parties, cfg, trace=trace)
     cap = min(float(retailer.demand.sum()), supplier.total_capacity)
-    return project_capped(result.plan, cap)
+    return project_capped(result.plan, cap), result
 
 
 def _efficient_plan_lp(retailer, supplier, fee, reference):
@@ -403,11 +394,6 @@ def budget_balance_check(report, tol=1e-9):
     return BudgetDiagnosis(total=total, regime=regime)
 
 
-def coordination_gain(report):
-    """Joint utility at the settled plan minus joint utility at the status quo."""
-    return report.gain
-
-
 @dataclass(frozen=True)
 class MenuOffer:
     """Plans priced so every option leaves the retailer exactly its standalone
@@ -422,12 +408,8 @@ def build_menu(retailer, status_quo, plans, alpha=0.0):
     if not plans:
         raise ParameterError("menu needs at least one plan")
     u_a_sq = retailer_utility(retailer, status_quo.retailer_plan).value
-    priced = []
-    fees = []
-    for plan in plans:
-        p = as_plan(plan, retailer.n_inbound)
-        fees.append(u_a_sq - retailer_utility(retailer, p).value + alpha)
-        priced.append(p)
+    priced = [as_plan(plan, retailer.n_inbound) for plan in plans]
+    fees = [u_a_sq - retailer_utility(retailer, p).value + alpha for p in priced]
     return MenuOffer(plans=tuple(priced), fees=tuple(fees), alpha=float(alpha))
 
 
@@ -469,11 +451,10 @@ def supplier_choose(supplier, menu, reservation=-np.inf):
     nets = [v - f for v, f in zip(values, menu.fees)]
     alpha_nets = [v - menu.alpha for v in values]
     best = int(np.argmax(nets))
+    options = dict(option_values=tuple(values), option_nets=tuple(nets),
+                   option_alpha_nets=tuple(alpha_nets))
     if not np.isfinite(nets[best]) or nets[best] < reservation - _TOL:
         return MenuChoice(accepted=False, index=None, plan=None, fee=None, net_value=None,
-                          option_values=tuple(values), option_nets=tuple(nets),
-                          option_alpha_nets=tuple(alpha_nets))
+                          **options)
     return MenuChoice(accepted=True, index=best, plan=menu.plans[best],
-                      fee=menu.fees[best], net_value=nets[best],
-                      option_values=tuple(values), option_nets=tuple(nets),
-                      option_alpha_nets=tuple(alpha_nets))
+                      fee=menu.fees[best], net_value=nets[best], **options)

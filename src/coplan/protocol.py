@@ -26,15 +26,19 @@ import json
 import os
 import socket
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .consensus import best_response
-from .errors import AgentTimeoutError, ParseError, ProtocolError
+from .consensus import LocalEndpoint
+from .errors import AgentTimeoutError, ParameterError, ParseError, ProtocolError
 
 DEFAULT_TIMEOUT = 30.0
 LISTEN_ENV_VAR = "COPLAN_LISTEN"
+# cap on one buffered line: legal messages of any practical plan dimension
+# stay orders of magnitude below it
+MAX_LINE_BYTES = 1 << 20
 
 KINDS = ("hello", "query", "response", "offer", "accept", "decline", "error", "bye")
 
@@ -167,6 +171,9 @@ class _LineChannel:
     def recv(self, timeout=None):
         self.sock.settimeout(timeout)
         while b"\n" not in self._buffer:
+            if len(self._buffer) > MAX_LINE_BYTES:
+                raise ParseError(f"line exceeds {MAX_LINE_BYTES} bytes",
+                                 offset=len(self._buffer))
             chunk = self.sock.recv(65536)
             if not chunk:
                 raise ConnectionError("peer closed the stream")
@@ -187,6 +194,8 @@ def default_listen_address():
     localhost port."""
     raw = os.environ.get(LISTEN_ENV_VAR, "127.0.0.1:0")
     host, _, port = raw.rpartition(":")
+    if not (port.isascii() and port.isdigit()) or int(port) > 65535:
+        raise ParameterError(f"{LISTEN_ENV_VAR}={raw!r}: port must be an integer in 0-65535")
     return host or "127.0.0.1", int(port)
 
 
@@ -194,8 +203,8 @@ class AgentServer:
     """Serves one plan agent to coordinator sessions.
 
     Each connection is one session: a ``hello`` fixes the plan dimension and
-    penalty, queries are answered with proximal best responses (warm-started
-    per session exactly like the in-process endpoint), and a plan/fee offer
+    penalty, queries are answered with proximal best responses (by a
+    per-session in-process endpoint, so warm starts match), and a plan/fee offer
     is accepted when it beats the agent's reservation utility.  Sessions end
     on ``bye`` or disconnect; malformed input gets an ``error`` reply and the
     session closes.  No private data of the agent ever leaves this process.
@@ -264,14 +273,12 @@ class AgentServer:
             channel.send(Message("error", session,
                                  payload={"reason": "dimension-mismatch or bad rho"}))
             return
-        warm_start = None
+        endpoint = LocalEndpoint(self.agent, gap_tol=self.gap_tol, max_evals=self.max_evals)
         while True:
             try:
                 msg = channel.recv(timeout=None)
             except ParseError as exc:
                 channel.send(Message("error", session, payload={"reason": str(exc.reason)}))
-                return
-            except ConnectionError:
                 return
             if msg.session != session:
                 channel.send(Message("error", session, payload={"reason": "unknown session"}))
@@ -283,12 +290,10 @@ class AgentServer:
                     channel.send(Message("error", session,
                                          payload={"reason": "dimension-mismatch"}))
                     return
-                br = best_response(self.agent, msg.payload["prices"], msg.payload["z"], rho,
-                                   gap_tol=self.gap_tol, max_evals=self.max_evals,
-                                   start=warm_start)
-                warm_start = br.plan
+                plan = endpoint.respond(msg.payload["prices"], msg.payload["z"], rho,
+                                        msg.iteration)
                 channel.send(Message("response", session, iteration=msg.iteration,
-                                     payload={"dim": dim, "plan": br.plan}))
+                                     payload={"dim": dim, "plan": plan}))
             elif msg.kind == "offer":
                 value = float(self.agent.evaluate(msg.payload["plan"])[0])
                 taking = value - msg.payload["fee"] >= self.reservation
@@ -299,13 +304,22 @@ class AgentServer:
                 return
 
 
-def serve_agent(agent, reservation=-np.inf, host=None, port=None):
-    """Blocking convenience wrapper: serve ``agent`` until interrupted."""
-    server = AgentServer(agent, reservation=reservation, host=host, port=port)
+@contextmanager
+def served(agents, rho, reservation=-np.inf):
+    """Serve each agent on its own local :class:`AgentServer` and yield one
+    connected :class:`RemoteAgent` session per agent, in agent order.  On exit
+    every session says ``bye`` and every server stops."""
+    servers, remotes = [], []
     try:
-        server.serve_forever()
+        for agent in agents:
+            servers.append(AgentServer(agent, reservation=reservation).start())
+            remotes.append(RemoteAgent(servers[-1].address, dim=agent.dim, rho=rho))
+        yield remotes
     finally:
-        server.stop()
+        for remote in remotes:
+            remote.close()
+        for server in servers:
+            server.stop()
 
 
 class RemoteAgent:

@@ -16,24 +16,24 @@ Settlement identities are re-verified before the report is returned.
 """
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from ._qp import project_capped
-from .consensus import RetailerAgent, SupplierAgent, run_consensus
+from .consensus import SupplierAgent
 from .dynamic import simulate
 from .errors import ParameterError
 from .mechanism import (
     budget_balance_check,
     build_menu,
+    consensus_plan,
     default_menu_plans,
     efficient_plan,
     standalone_plans,
     supplier_choose,
     vcg_transfers,
 )
-from .protocol import AgentServer, RemoteAgent
+from .protocol import served
 from .scenario import ANALYSES
 from .transport import retailer_utility, supplier_utility
 
@@ -123,37 +123,6 @@ def _run_jit(scenario):
     return payload, rendered, status_quo
 
 
-def _coordinate(scenario, status_quo, trace):
-    """First-best plan via the scenario's coordination mode."""
-    retailer, supplier = scenario.retailer, scenario.supplier
-    cap = min(float(retailer.demand.sum()), supplier.total_capacity)
-    cfg = scenario.consensus
-    if cfg.initial_plan is None:
-        cfg = replace(cfg, initial_plan=status_quo.retailer_plan)
-    if scenario.mode == "cpp":
-        result = run_consensus([RetailerAgent(retailer), SupplierAgent(supplier)],
-                               cfg, trace=trace)
-        return project_capped(result.plan, cap), result.iterations
-    if cfg.adapt_rho:
-        raise ParameterError(
-            "adaptive penalty cannot run over the wire protocol: sessions pin rho "
-            "at the handshake")
-    # protocol: both agents behind the wire, coordinator sees plans only
-    servers = [AgentServer(RetailerAgent(retailer)).start(),
-               AgentServer(SupplierAgent(supplier)).start()]
-    remotes = []
-    try:
-        remotes = [RemoteAgent(s.address, dim=retailer.n_inbound, rho=cfg.rho)
-                   for s in servers]
-        result = run_consensus(remotes, cfg, trace=trace)
-    finally:
-        for r in remotes:
-            r.close()
-        for s in servers:
-            s.stop()
-    return project_capped(result.plan, cap), result.iterations
-
-
 def _run_firstbest(scenario, status_quo, jit_payload, trace):
     # true socially efficient plan; fee-induced allocation bias (if any)
     # shows up in the settlement section instead
@@ -162,7 +131,11 @@ def _run_firstbest(scenario, status_quo, jit_payload, trace):
                               status_quo=status_quo)
         iterations = None
     else:
-        plan, iterations = _coordinate(scenario, status_quo, trace)
+        plan, result = consensus_plan(
+            scenario.retailer, scenario.supplier, status_quo=status_quo,
+            config=scenario.consensus, trace=trace,
+            endpoints=served if scenario.mode == "protocol" else None)
+        iterations = result.iterations
     ev_r = retailer_utility(scenario.retailer, plan)
     ev_s = supplier_utility(scenario.supplier, plan)
     total_cost = ev_r.transport.objective + ev_s.transport.objective
@@ -240,16 +213,9 @@ def _run_vcg(scenario, status_quo, plan):
 
 def _offer_over_protocol(scenario, status_quo, report):
     reservation = supplier_utility(scenario.supplier, status_quo.supplier_plan).value
-    server = AgentServer(SupplierAgent(scenario.supplier), reservation=reservation).start()
-    try:
-        remote = RemoteAgent(server.address, dim=scenario.retailer.n_inbound,
-                             rho=scenario.consensus.rho)
-        try:
-            return remote.offer(report.plan, report.transfer_supplier)
-        finally:
-            remote.close()
-    finally:
-        server.stop()
+    with served([SupplierAgent(scenario.supplier)], scenario.consensus.rho,
+                reservation=reservation) as (remote,):
+        return remote.offer(report.plan, report.transfer_supplier)
 
 
 def _run_menu(scenario, status_quo, plan):

@@ -365,8 +365,3 @@ def supplier_utility(spec, plan):
     value = float(spec.gross_profit @ x) - sol.objective
     grad = spec.gross_profit - sol.col_duals
     return UtilityEvaluation(value=value, supergradient=grad, transport=sol, kind="supplier")
-
-
-def utility_supergradient(evaluation):
-    """Supergradient of the evaluated utility with respect to the plan."""
-    return evaluation.supergradient

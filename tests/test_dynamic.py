@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from coplan.dynamic import (
+    DynamicRetailerAgent,
+    DynamicSupplierAgent,
     InventoryModel,
     cbt_full_horizon,
     cbt_one_week,
@@ -90,6 +92,7 @@ def test_jit_policy_maximizes_flow_utility():
                             retailer_margin=float(rng.uniform(4.0, 12.0)))
         state = model.initial_state(on_hand=float(rng.integers(0, 5)))
         jit = jit_policy(model, state)
+        assert np.array_equal(commitment_baseline(model, state), jit)
         _, jit_total = retailer_flow_utility(model, jit, state)
         best = -np.inf
         for orders in itertools.product(range(14), repeat=3):
@@ -132,6 +135,29 @@ def test_flow_utility_matches_independent_simulation():
         _, s_total = supplier_flow_utility(model, orders, state)
         assert s_total == pytest.approx(
             independent_supplier_total(model, orders, state.last_order), abs=1e-9)
+
+
+def test_agents_evaluate_the_flow_utilities():
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        model = small_model(forecasts=rng.uniform(0, 15, size=3),
+                            holding_cost=float(rng.uniform(0.2, 2.0)),
+                            smoothing_cost=float(rng.uniform(0.0, 2.0)))
+        state = model.initial_state(on_hand=float(rng.uniform(0, 6)),
+                                    last_order=float(rng.uniform(0, 10)))
+        for n_fixed in (0, 1, 2):
+            prefix = rng.uniform(0, 15, size=n_fixed)
+            retailer = DynamicRetailerAgent(model, state, prefix)
+            supplier = DynamicSupplierAgent(model, state, prefix)
+            plan = rng.uniform(0, 15, size=3 - n_fixed)
+            orders = np.concatenate([prefix, plan])
+            value, grad = retailer.evaluate(plan)
+            assert value == retailer_flow_utility(model, orders, state)[1]
+            assert supplier.evaluate(plan)[0] == supplier_flow_utility(model, orders, state)[1]
+            # supergradient of the concave retailer total: a global overestimate
+            for _ in range(10):
+                other = rng.uniform(0, 15, size=plan.size)
+                assert retailer.evaluate(other)[0] <= value + grad @ (other - plan) + 1e-9
 
 
 def test_coordinated_plan_equals_jit_when_supplier_indifferent():

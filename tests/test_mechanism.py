@@ -8,7 +8,6 @@ from coplan.mechanism import (
     FeePolicy,
     budget_balance_check,
     build_menu,
-    coordination_gain,
     default_menu_plans,
     deviation_penalty,
     efficient_plan,
@@ -121,7 +120,7 @@ def test_budget_check_toy_deficit(toy_retailer, toy_supplier, toy_status_quo):
 def test_budget_check_balanced_at_status_quo(toy_retailer, toy_supplier, toy_status_quo):
     report = vcg_transfers(toy_retailer, toy_supplier, toy_status_quo, [40.0, 60.0])
     assert budget_balance_check(report).regime == "balanced"
-    assert coordination_gain(report) == pytest.approx(0.0, abs=1e-9)
+    assert report.gain == pytest.approx(0.0, abs=1e-9)
 
 
 def test_budget_check_requires_fee_free_report(toy_retailer, toy_supplier, toy_status_quo):

@@ -14,6 +14,7 @@ from coplan.consensus import (
 )
 from coplan.errors import AgentTimeoutError, ParseError, ProtocolError
 from coplan.protocol import (
+    MAX_LINE_BYTES,
     AgentServer,
     Message,
     RemoteAgent,
@@ -211,6 +212,24 @@ def test_dimension_mismatch_session_is_rejected(toy_supplier, toy_supplier_serve
     remote = RemoteAgent(toy_supplier_server.address, dim=3, rho=1.0)
     with pytest.raises(ProtocolError):
         remote.respond(np.zeros(3), np.zeros(3), 1.0, 1)
+
+
+def test_overlong_line_gets_error_and_closes_session(toy_supplier_server):
+    conn = socket.create_connection(toy_supplier_server.address, timeout=10.0)
+    try:
+        conn.sendall(encode(Message("hello", "s1", payload={"dim": 2, "rho": 1.0})))
+        conn.sendall(b"x" * (MAX_LINE_BYTES + 1))  # no newline
+        buf = b""
+        while True:
+            chunk = conn.recv(65536)
+            if not chunk:
+                break
+            buf += chunk
+    finally:
+        conn.close()
+    reply = decode(buf.split(b"\n", 1)[0])
+    assert reply.kind == "error" and "exceeds" in reply.payload["reason"]
+    assert buf.count(b"\n") == 1  # nothing follows: the server closed the session
 
 
 def test_messages_never_carry_private_fields():

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -110,6 +111,28 @@ def test_machine_report_is_byte_identical_across_runs(toy):
     a = run(toy, analyses=["jit", "firstbest", "vcg", "menu"]).to_json()
     b = run(toy, analyses=["jit", "firstbest", "vcg", "menu"]).to_json()
     assert a == b
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("toy-centralized", ["--scenario", "toy", "--mode", "centralized"]),
+    ("toy-cpp", ["--scenario", "toy", "--mode", "cpp"]),
+    ("toy-protocol", ["--scenario", "toy", "--mode", "protocol"]),
+    ("toy_dynamic-all", ["--scenario", "toy_dynamic", "--analyses", "all"]),
+])
+def test_bundled_reports_match_golden_bytes(name, argv, tmp_path, capsys):
+    # the golden files pin the bundled reports byte for byte; regenerate one
+    # with the same argv plus --json only when a report is meant to change
+    out = tmp_path / "report.json"
+    assert main(argv + ["--json", str(out)]) == 0
+    golden = Path(__file__).parent / "golden" / f"{name}.json"
+    assert out.read_bytes() == golden.read_bytes()
+
+
+@pytest.mark.parametrize("listen", ["bogus", ":99999"])
+def test_cli_rejects_bad_listen_address(listen, monkeypatch, capsys):
+    monkeypatch.setenv("COPLAN_LISTEN", listen)
+    assert main(["--scenario", "toy", "--mode", "protocol"]) == 2
+    assert "COPLAN_LISTEN" in capsys.readouterr().err
 
 
 def test_dynamic_report_runs(tmp_path):

@@ -9,7 +9,6 @@ from coplan.transport import (
     retailer_utility,
     solve_transport,
     supplier_utility,
-    utility_supergradient,
 )
 
 
@@ -128,7 +127,7 @@ def test_supergradient_zero_on_slack_capacity(toy_retailer):
 @pytest.mark.parametrize("x", [[40.0, 60.0], [10.0, 90.0], [25.0, 30.0], [0.0, 55.0]])
 def test_retailer_supergradient_brackets_one_sided_diffs(toy_retailer, x):
     ev = retailer_utility(toy_retailer, x)
-    g = utility_supergradient(ev)
+    g = ev.supergradient
     fwd, bwd = one_sided_diffs(lambda p: retailer_utility(toy_retailer, p).value, np.asarray(x))
     hi = np.where(np.isnan(bwd), np.inf, bwd)
     # concavity pins any valid supergradient between the one-sided slopes
@@ -139,7 +138,7 @@ def test_retailer_supergradient_brackets_one_sided_diffs(toy_retailer, x):
 @pytest.mark.parametrize("x", [[40.0, 60.0], [10.0, 90.0], [50.0, 50.0]])
 def test_supplier_supergradient_brackets_one_sided_diffs(toy_supplier, x):
     ev = supplier_utility(toy_supplier, x)
-    g = utility_supergradient(ev)
+    g = ev.supergradient
     fwd, bwd = one_sided_diffs(lambda p: supplier_utility(toy_supplier, p).value, np.asarray(x))
     hi = np.where(np.isnan(bwd), np.inf, bwd)
     assert np.all(g >= fwd - 1e-3 * (1 + np.abs(fwd)))

@@ -23,7 +23,7 @@ supplier = SupplierSpec(capacities=[100, 10], arc_costs=[[10, 5], [1, 2]],
                         gross_profit=[20, 20])
 
 status_quo = standalone_plans(retailer, supplier)
-plans = default_menu_plans(status_quo.retailer_plan, [10.0, 90.0], count=4)
+plans = default_menu_plans(status_quo.retailer_plan, [10.0, 90.0])
 menu = build_menu(retailer, status_quo, plans, alpha=50.0)
 reservation = supplier_utility(supplier, status_quo.supplier_plan).value
 

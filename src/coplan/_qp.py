@@ -39,7 +39,7 @@ def _cut_values(offsets, grads, x):
     return offsets + grads @ x
 
 
-def maximize_cut_model(offsets, grads, center, rho, total_cap=None, max_iter=None):
+def maximize_cut_model(offsets, grads, center, rho, total_cap=None):
     """Return (x, value) for the prox-regularized cut model above."""
     offsets = np.asarray(offsets, dtype=float)
     grads = np.atleast_2d(np.asarray(grads, dtype=float))
@@ -52,8 +52,6 @@ def maximize_cut_model(offsets, grads, center, rho, total_cap=None, max_iter=Non
         offsets = offsets[keep]
         grads = grads[keep]
     K, n = grads.shape
-    if max_iter is None:
-        max_iter = 60 * (K + n + 2)
 
     x = project_capped(center, total_cap)
     vals = _cut_values(offsets, grads, x)
@@ -65,7 +63,7 @@ def maximize_cut_model(offsets, grads, center, rho, total_cap=None, max_iter=Non
     cap_active = bool(total_cap is not None and total_cap - x.sum() <= _FEAS_TOL * scale)
 
     stalled = 0  # consecutive iterations without a real move
-    for _ in range(max_iter):
+    for _ in range(60 * (K + n + 2)):
         xhat, that, eta, lam, nu = _solve_eqp(
             offsets, grads, center, rho, active_cuts, active_bounds, cap_active, total_cap
         )

@@ -22,6 +22,11 @@ from ._qp import MasterError, maximize_cut_model, project_capped
 from .errors import DimensionError, NonConvergenceError, ParameterError
 from .transport import retailer_utility, supplier_utility
 
+_BR_GAP_TOL = 1e-12    # relative gap at which a best response is certified
+_BR_MAX_EVALS = 120
+_ADAPT_EVERY = 25      # rho rebalance cadence; every iteration oscillates
+_ADAPT_SPAN = 256.0    # rho stays within rho0 / span .. rho0 * span
+
 
 class PlanAgent:
     """Black-box utility evaluator over plans on the nonnegative orthant,
@@ -80,13 +85,13 @@ class BestResponse:
     evaluations: int
 
 
-def best_response(agent, prices, z, rho, gap_tol=1e-12, max_evals=120, start=None):
+def best_response(agent, prices, z, rho, start=None):
     """Maximize the proximal objective by cutting planes on the concave
     utility with an exact prox-model master.
 
     Supergradient cuts overestimate the utility, so the master value is a
     certified upper bound; the loop stops once the bound meets the best
-    evaluated point within ``gap_tol`` (relative).  Piecewise-linear utilities
+    evaluated point within ``_BR_GAP_TOL`` (relative).  Piecewise-linear utilities
     terminate finitely.  Agents with special structure may expose an exact
     ``prox_respond``, which takes precedence over the cutting-plane loop.
     """
@@ -112,7 +117,7 @@ def best_response(agent, prices, z, rho, gap_tol=1e-12, max_evals=120, start=Non
     grads: list[np.ndarray] = []
     best_val = -np.inf
     best_x = x
-    for k in range(max_evals):
+    for k in range(_BR_MAX_EVALS):
         value, grad = agent.evaluate(x)
         objective = value - prices @ x - 0.5 * rho * float(np.sum((x - z) ** 2))
         if objective > best_val:
@@ -133,28 +138,25 @@ def best_response(agent, prices, z, rho, gap_tol=1e-12, max_evals=120, start=Non
             raise NonConvergenceError(f"best-response master failed: {exc}") from exc
         upper = model_val + shift
         gap = upper - best_val
-        if gap <= gap_tol * (1.0 + abs(best_val)):
+        if gap <= _BR_GAP_TOL * (1.0 + abs(best_val)):
             return BestResponse(plan=best_x, objective=best_val, gap=max(gap, 0.0),
                                 evaluations=k + 1)
         x = xm
     raise NonConvergenceError(
-        f"best response did not close its gap within {max_evals} evaluations (gap {gap:.3e})"
+        f"best response did not close its gap within {_BR_MAX_EVALS} evaluations (gap {gap:.3e})"
     )
 
 
 class LocalEndpoint:
     """In-process best-response endpoint with a warm-started solver."""
 
-    def __init__(self, agent, gap_tol=1e-12, max_evals=120):
+    def __init__(self, agent):
         self.agent = agent
         self.dim = agent.dim
-        self.gap_tol = gap_tol
-        self.max_evals = max_evals
         self._last = None
 
     def respond(self, prices, z, rho, iteration):
-        br = best_response(self.agent, prices, z, rho, gap_tol=self.gap_tol,
-                           max_evals=self.max_evals, start=self._last)
+        br = best_response(self.agent, prices, z, rho, start=self._last)
         self._last = br.plan
         return br.plan
 
@@ -171,10 +173,6 @@ class ConsensusConfig:
     eps_rel: float = 1e-4
     max_iters: int = 5000
     adapt_rho: bool = False
-    adapt_every: int = 25          # rebalance cadence; every iteration oscillates
-    adapt_span: float = 256.0      # rho stays within rho0 / span .. rho0 * span
-    br_gap_tol: float = 1e-12
-    br_max_evals: int = 120
     initial_plan: np.ndarray | None = None
     initial_prices: np.ndarray | None = None
 
@@ -231,12 +229,6 @@ class ConsensusResult:
     prices: np.ndarray | None = None   # final per-agent price vectors
 
 
-def _as_endpoint(agent, config):
-    if hasattr(agent, "respond"):
-        return agent
-    return LocalEndpoint(agent, gap_tol=config.br_gap_tol, max_evals=config.br_max_evals)
-
-
 def run_consensus(agents, config=None, trace=None):
     """Drive best-response endpoints to consensus.
 
@@ -249,7 +241,7 @@ def run_consensus(agents, config=None, trace=None):
     config = config or ConsensusConfig()
     if not agents:
         raise ParameterError("at least one agent is required")
-    endpoints = [_as_endpoint(a, config) for a in agents]
+    endpoints = [a if hasattr(a, "respond") else LocalEndpoint(a) for a in agents]
     dims = {ep.dim for ep in endpoints}
     if len(dims) != 1:
         raise DimensionError(f"agents disagree on plan dimension: {sorted(dims)}")
@@ -280,9 +272,9 @@ def run_consensus(agents, config=None, trace=None):
         responses = [ep.respond(state.prices[m], state.z, state.rho, it)
                      for m, ep in enumerate(endpoints)]
         state = coordinator_step(state, responses)
-        if config.adapt_rho and it % config.adapt_every == 0:
-            state = _rebalance_rho(state, lo=config.rho / config.adapt_span,
-                                   hi=config.rho * config.adapt_span)
+        if config.adapt_rho and it % _ADAPT_EVERY == 0:
+            state = _rebalance_rho(state, lo=config.rho / _ADAPT_SPAN,
+                                   hi=config.rho * _ADAPT_SPAN)
         history.append((state.r_primal, state.r_dual))
         if emit:
             emit({"iteration": state.iteration, "z": state.z.tolist(),

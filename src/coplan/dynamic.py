@@ -288,7 +288,7 @@ DEFAULT_DYNAMIC_CONFIG = ConsensusConfig(rho=3.0, eps_abs=1e-6, eps_rel=1e-6,
                                          adapt_rho=True, max_iters=3000)
 
 
-def coordinated_plan(model, state, config=None, warm_plan=None, warm_prices=None):
+def coordinated_plan(model, state, warm_plan=None, warm_prices=None):
     """Jointly optimal orders for the current window via the consensus loop.
 
     In ``full-horizon`` mode the committed plan of record stays binding and
@@ -309,15 +309,12 @@ def coordinated_plan(model, state, config=None, warm_plan=None, warm_prices=None
                                prices=None)
 
     baseline = commitment_baseline(model, state)
-    cfg = config or DEFAULT_DYNAMIC_CONFIG
     seed_ok = prefix.size == 0  # shifted seeds only align with an uncommitted window
-    if cfg.initial_plan is None:
-        start = baseline[prefix.size:]
-        if seed_ok and warm_plan is not None and warm_plan.size >= free:
-            start = warm_plan[:free]
-        cfg = replace(cfg, initial_plan=start)
-    if cfg.initial_prices is None and seed_ok and warm_prices is not None \
-            and warm_prices.shape[1] >= free:
+    start = baseline[prefix.size:]
+    if seed_ok and warm_plan is not None and warm_plan.size >= free:
+        start = warm_plan[:free]
+    cfg = replace(DEFAULT_DYNAMIC_CONFIG, initial_plan=start)
+    if seed_ok and warm_prices is not None and warm_prices.shape[1] >= free:
         cfg = replace(cfg, initial_prices=warm_prices[:, :free])
     retailer = DynamicRetailerAgent(model, state, prefix)
     supplier = DynamicSupplierAgent(model, state, prefix)
@@ -354,13 +351,12 @@ def cbt_one_week(model, state, plan, jit_orders=None):
     return free_total - pinned_total
 
 
-def cbt_full_horizon(model, state, plan, baseline=None):
+def cbt_full_horizon(model, state, plan):
     """Payment when the whole window is binding: the retailer's utility under
     the commitment baseline minus under the agreed plan."""
     if state.mode != "full-horizon":
         raise StateError("full-horizon payment requires full-horizon commitment mode")
-    if baseline is None:
-        baseline = commitment_baseline(model, state)
+    baseline = commitment_baseline(model, state)
     _, base_total = retailer_flow_utility(model, baseline, state)
     _, plan_total = retailer_flow_utility(model, plan, state)
     return base_total - plan_total
@@ -423,7 +419,7 @@ def roll_forward(model, state, realized_demand, plan):
     return new_state, record
 
 
-def simulate(model, demand_path, mode="none", config=None, on_hand=0.0):
+def simulate(model, demand_path, mode="none", on_hand=0.0):
     """Roll the model through the whole episode under realized demand.  Each
     week's coordination warm-starts from the previous week's shifted plan and
     prices."""
@@ -434,8 +430,8 @@ def simulate(model, demand_path, mode="none", config=None, on_hand=0.0):
     records = []
     warm_plan = warm_prices = None
     for _ in range(model.n_weeks):
-        week_plan = coordinated_plan(model, state, config,
-                                     warm_plan=warm_plan, warm_prices=warm_prices)
+        week_plan = coordinated_plan(model, state, warm_plan=warm_plan,
+                                     warm_prices=warm_prices)
         if week_plan.prices is not None:
             warm_plan = week_plan.orders[1:]
             warm_prices = week_plan.prices[:, 1:]

@@ -114,7 +114,6 @@ class StatusQuo:
 
     retailer_plan: np.ndarray
     supplier_plan: np.ndarray
-    mode: str  # "jit-derived" | "explicit"
 
 
 def jit_plan(retailer):
@@ -125,28 +124,18 @@ def jit_plan(retailer):
     return uncapped.transport.flow.sum(axis=1)
 
 
-def standalone_plans(retailer, supplier, mode="jit-derived", explicit=None):
-    """Build the status quo.
-
-    ``jit-derived``: the retailer orders its preferred plan and the supplier
-    is assumed to confirm it in full; if the order exceeds total source
-    capacity the supplier's reservation plan is instead the partial
+def standalone_plans(retailer, supplier):
+    """Build the status quo: the retailer orders its preferred plan and the
+    supplier is assumed to confirm it in full; if the order exceeds total
+    source capacity the supplier's reservation plan is instead the partial
     confirmation (a per-node fraction of the order) that maximizes its own
-    utility.  ``explicit``: both plans are supplied by the caller.
+    utility.
     """
-    if mode == "explicit":
-        if explicit is None:
-            raise ParameterError("explicit mode needs a (retailer_plan, supplier_plan) pair")
-        rp = as_plan(explicit[0], retailer.n_inbound)
-        sp = as_plan(explicit[1], supplier.n_inbound)
-        return StatusQuo(retailer_plan=rp, supplier_plan=sp, mode="explicit")
-    if mode != "jit-derived":
-        raise ParameterError(f"unknown status-quo mode {mode!r}")
     order = jit_plan(retailer)
     confirmed = order.copy()
     if order.sum() > supplier.total_capacity + _TOL:
         confirmed = _best_confirmation(supplier, order)
-    return StatusQuo(retailer_plan=order, supplier_plan=confirmed, mode="jit-derived")
+    return StatusQuo(retailer_plan=order, supplier_plan=confirmed)
 
 
 def _best_confirmation(supplier, order):
@@ -413,17 +402,13 @@ def build_menu(retailer, status_quo, plans, alpha=0.0):
     return MenuOffer(plans=tuple(priced), fees=tuple(fees), alpha=float(alpha))
 
 
-def default_menu_plans(standalone_plan, x_star, count=4):
-    """Retailer-generated sweep from the standalone plan toward (and one step
-    past) the efficient plan."""
+def default_menu_plans(standalone_plan, x_star):
+    """Retailer-generated sweep of four plans from the standalone plan toward
+    (and one step past) the efficient plan."""
     ref = np.asarray(standalone_plan, dtype=float)
     target = np.asarray(x_star, dtype=float)
-    if count < 1:
-        raise ParameterError("count must be positive")
-    if count == 1:
-        return [target.copy()]
-    unit = (target - ref) / (count - 1)
-    return [np.maximum(ref + k * unit, 0.0) for k in range(1, count + 1)]
+    unit = (target - ref) / 3
+    return [np.maximum(ref + k * unit, 0.0) for k in range(1, 5)]
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .consensus import LocalEndpoint
-from .errors import AgentTimeoutError, ParameterError, ParseError, ProtocolError
+from .errors import (AgentTimeoutError, InfeasibleError, ParameterError, ParseError,
+                     ProtocolError)
 
 DEFAULT_TIMEOUT = 30.0
 LISTEN_ENV_VAR = "COPLAN_LISTEN"
@@ -168,7 +169,7 @@ class _LineChannel:
     def send(self, msg):
         self.sock.sendall(encode(msg))
 
-    def recv(self, timeout=None):
+    def recv(self, timeout):
         self.sock.settimeout(timeout)
         while b"\n" not in self._buffer:
             if len(self._buffer) > MAX_LINE_BYTES:
@@ -205,19 +206,26 @@ class AgentServer:
     Each connection is one session: a ``hello`` fixes the plan dimension and
     penalty, queries are answered with proximal best responses (by a
     per-session in-process endpoint, so warm starts match), and a plan/fee offer
-    is accepted when it beats the agent's reservation utility.  Sessions end
-    on ``bye`` or disconnect; malformed input gets an ``error`` reply and the
-    session closes.  No private data of the agent ever leaves this process.
+    is accepted when it beats the agent's reservation utility (a plan the agent
+    cannot fill is declined).  Sessions end on ``bye``, disconnect or
+    ``DEFAULT_TIMEOUT`` seconds of silence; malformed input gets an ``error``
+    reply and the session closes.  No private data of the agent ever leaves
+    this process.  ``COPLAN_LISTEN`` fills in whichever of ``host`` and
+    ``port`` the caller leaves out.
     """
 
-    def __init__(self, agent, reservation=-np.inf, host=None, port=None,
-                 gap_tol=1e-12, max_evals=120):
-        env_host, env_port = default_listen_address()
+    def __init__(self, agent, reservation=-np.inf, host=None, port=None):
+        source = ""
+        if host is None or port is None:
+            env_host, env_port = default_listen_address()
+            host, port = host or env_host, env_port if port is None else port
+            source = f" (from {LISTEN_ENV_VAR})" if LISTEN_ENV_VAR in os.environ else ""
         self.agent = agent
         self.reservation = reservation
-        self.gap_tol = gap_tol
-        self.max_evals = max_evals
-        self._listener = socket.create_server((host or env_host, env_port if port is None else port))
+        try:
+            self._listener = socket.create_server((host, port))
+        except OSError as exc:
+            raise ParameterError(f"cannot listen on {host}:{port}{source}: {exc.strerror}") from exc
         self._stop = threading.Event()
         self._thread = None
 
@@ -273,10 +281,10 @@ class AgentServer:
             channel.send(Message("error", session,
                                  payload={"reason": "dimension-mismatch or bad rho"}))
             return
-        endpoint = LocalEndpoint(self.agent, gap_tol=self.gap_tol, max_evals=self.max_evals)
+        endpoint = LocalEndpoint(self.agent)
         while True:
             try:
-                msg = channel.recv(timeout=None)
+                msg = channel.recv(timeout=DEFAULT_TIMEOUT)
             except ParseError as exc:
                 channel.send(Message("error", session, payload={"reason": str(exc.reason)}))
                 return
@@ -285,18 +293,20 @@ class AgentServer:
                 return
             if msg.kind == "bye":
                 return
+            if msg.kind in ("query", "offer") and msg.payload["dim"] != dim:
+                channel.send(Message("error", session, payload={"reason": "dimension-mismatch"}))
+                return
             if msg.kind == "query":
-                if msg.payload["dim"] != dim:
-                    channel.send(Message("error", session,
-                                         payload={"reason": "dimension-mismatch"}))
-                    return
                 plan = endpoint.respond(msg.payload["prices"], msg.payload["z"], rho,
                                         msg.iteration)
                 channel.send(Message("response", session, iteration=msg.iteration,
                                      payload={"dim": dim, "plan": plan}))
             elif msg.kind == "offer":
-                value = float(self.agent.evaluate(msg.payload["plan"])[0])
-                taking = value - msg.payload["fee"] >= self.reservation
+                try:
+                    value = float(self.agent.evaluate(msg.payload["plan"])[0])
+                    taking = value - msg.payload["fee"] >= self.reservation
+                except InfeasibleError:
+                    taking = False
                 channel.send(Message("accept" if taking else "decline", session))
             else:
                 channel.send(Message("error", session,
@@ -328,28 +338,40 @@ class RemoteAgent:
 
     _counter = 0
 
-    def __init__(self, address, dim, rho, session=None, timeout=DEFAULT_TIMEOUT,
-                 agent_id=None):
+    def __init__(self, address, dim, rho, timeout=DEFAULT_TIMEOUT):
         RemoteAgent._counter += 1
         self.dim = dim
         self.rho = rho
         self.timeout = timeout
-        self.agent_id = agent_id if agent_id is not None else f"agent-{RemoteAgent._counter}"
-        self.session = session or f"session-{RemoteAgent._counter}"
+        self.agent_id = f"agent-{RemoteAgent._counter}"
+        self.session = f"session-{RemoteAgent._counter}"
         self._channel = _LineChannel(socket.create_connection(tuple(address), timeout=timeout))
         self._channel.send(Message("hello", self.session,
                                    payload={"dim": dim, "rho": float(rho)}))
 
     def respond(self, prices, z, rho, iteration):
+        """Best response to one query.  A silent agent raises
+        :class:`AgentTimeoutError`; a response echoing the wrong iteration
+        raises :class:`ProtocolError`."""
         if rho != self.rho:
             raise ProtocolError("penalty changed mid-session; open a new session")
-        return query_agents([self], [prices], z, iteration, timeout=self.timeout)[0]
+        self._channel.send(Message("query", self.session, iteration=int(iteration),
+                                   payload={"dim": self.dim, "prices": prices, "z": z}))
+        reply = self._read()
+        if reply.kind != "response":
+            raise ProtocolError(f"expected response, got {reply.kind}")
+        if reply.iteration != iteration:
+            raise ProtocolError(
+                f"agent {self.agent_id} echoed iteration {reply.iteration}, expected {iteration}")
+        if reply.payload["dim"] != self.dim:
+            raise ProtocolError("response dimension does not match the session")
+        return reply.payload["plan"]
 
     def offer(self, plan, fee):
         self._channel.send(Message("offer", self.session,
                                    payload={"dim": self.dim, "plan": plan,
                                             "fee": float(fee)}))
-        reply = self._read(self.timeout)
+        reply = self._read()
         if reply.kind not in ("accept", "decline"):
             raise ProtocolError(f"expected accept/decline, got {reply.kind}")
         return reply.kind == "accept"
@@ -361,35 +383,11 @@ class RemoteAgent:
             pass
         self._channel.close()
 
-    def _read(self, timeout):
-        reply = self._channel.recv(timeout=timeout)
+    def _read(self):
+        try:
+            reply = self._channel.recv(timeout=self.timeout)
+        except TimeoutError as exc:
+            raise AgentTimeoutError(self.agent_id, self.timeout) from exc
         if reply.kind == "error":
             raise ProtocolError(f"agent {self.agent_id}: {reply.payload['reason']}")
         return reply
-
-
-def query_agents(agents, prices_per_agent, z, iteration, timeout=DEFAULT_TIMEOUT):
-    """Send one iteration's queries to every remote agent, then collect the
-    responses in agent order.  A silent agent raises
-    :class:`AgentTimeoutError`; a response echoing the wrong iteration raises
-    :class:`ProtocolError`."""
-    if len(agents) != len(prices_per_agent):
-        raise ProtocolError("one price vector per agent is required")
-    for agent, prices in zip(agents, prices_per_agent):
-        agent._channel.send(Message("query", agent.session, iteration=int(iteration),
-                                    payload={"dim": agent.dim, "prices": prices, "z": z}))
-    plans = []
-    for agent in agents:
-        try:
-            reply = agent._read(timeout)
-        except (TimeoutError, socket.timeout) as exc:
-            raise AgentTimeoutError(agent.agent_id, timeout) from exc
-        if reply.kind != "response":
-            raise ProtocolError(f"expected response, got {reply.kind}")
-        if reply.iteration != iteration:
-            raise ProtocolError(
-                f"agent {agent.agent_id} echoed iteration {reply.iteration}, expected {iteration}")
-        if reply.payload["dim"] != agent.dim:
-            raise ProtocolError("response dimension does not match the session")
-        plans.append(reply.payload["plan"])
-    return plans

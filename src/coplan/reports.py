@@ -265,7 +265,7 @@ def _run_dynamic(scenario):
         raise ParameterError("scenario has no dynamic block")
     settings = scenario.dynamic
     records, final = simulate(settings.model, settings.demand_path,
-                              mode=settings.commitment, config=None,
+                              mode=settings.commitment,
                               on_hand=settings.initial_inventory)
     payload = {
         "commitment": settings.commitment,

@@ -25,6 +25,7 @@ from .errors import DimensionError, InfeasibleError, ParameterError
 # quantities O(100), so absolute tolerances are safe at this scale.
 _TOL = 1e-9
 _EPS = 1e-12
+_MAX_PIVOTS = 20000
 
 
 def _as_vector(x, name):
@@ -152,9 +153,9 @@ def _basis_cycle(basic, enter):
     return [enter] + cells
 
 
-def _optimize(costs, flow, basic, max_pivots):
+def _optimize(costs, flow, basic):
     m, n = costs.shape
-    for _ in range(max_pivots):
+    for _ in range(_MAX_PIVOTS):
         u, w = _duals_from_basis(costs, basic)
         reduced = costs - u[:, None] - w[None, :]
         reduced[basic] = 0.0
@@ -176,8 +177,7 @@ def _optimize(costs, flow, basic, max_pivots):
     raise ArithmeticError("transportation simplex exceeded its pivot budget")
 
 
-def solve_transport(costs, row_bounds, col_requirements, slack_penalty=None,
-                    max_pivots=20000):
+def solve_transport(costs, row_bounds, col_requirements, slack_penalty=None):
     """Minimum-cost flow from bounded rows to columns with fixed requirements.
 
     When total row capacity falls short of the total requirement, a virtual
@@ -221,7 +221,7 @@ def solve_transport(costs, row_bounds, col_requirements, slack_penalty=None,
     demand = np.append(cq, surplus)
 
     flow, basic = _northwest_corner(supply, demand)
-    u, w = _optimize(tab_costs, flow, basic, max_pivots)
+    u, w = _optimize(tab_costs, flow, basic)
 
     # Normalize duals so the dummy (disposal) column prices at zero; the
     # resulting row duals are <= 0 and column duals >= 0.

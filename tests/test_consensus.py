@@ -10,6 +10,7 @@ from conftest import (
     random_bilateral,
     solve_joint_lp,
 )
+from coplan import consensus
 from coplan.consensus import (
     ConsensusConfig,
     ConsensusState,
@@ -85,12 +86,13 @@ def test_best_response_supplier_dominates_grid(toy_supplier, supplier_oracle):
         assert br.objective >= scores.max() - 1e-9
 
 
-def test_best_response_rejects_bad_inputs(toy_retailer):
+def test_best_response_rejects_bad_inputs(toy_retailer, monkeypatch):
     agent = RetailerAgent(toy_retailer)
     with pytest.raises(DimensionError):
         best_response(agent, np.zeros(3), np.zeros(2), 1.0)
-    with pytest.raises(NonConvergenceError):
-        best_response(agent, np.zeros(2), np.array([5.0, 5.0]), 1.0, max_evals=1)
+    monkeypatch.setattr(consensus, "_BR_MAX_EVALS", 1)
+    with pytest.raises(NonConvergenceError, match="within 1 evaluations"):
+        best_response(agent, np.zeros(2), np.array([5.0, 5.0]), 1.0)
 
 
 def _state(prices, z, responses, rho=1.0):

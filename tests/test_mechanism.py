@@ -27,14 +27,6 @@ def toy_status_quo(toy_retailer, toy_supplier):
 def test_standalone_plans_jit_derived(toy_retailer, toy_supplier, toy_status_quo):
     assert np.allclose(toy_status_quo.retailer_plan, [40.0, 60.0])
     assert np.allclose(toy_status_quo.supplier_plan, [40.0, 60.0])
-    assert toy_status_quo.mode == "jit-derived"
-
-
-def test_standalone_plans_explicit_passthrough(toy_retailer, toy_supplier):
-    sq = standalone_plans(toy_retailer, toy_supplier, mode="explicit",
-                          explicit=([40.0, 60.0], [40.0, 60.0]))
-    assert np.allclose(sq.retailer_plan, [40.0, 60.0])
-    assert sq.mode == "explicit"
 
 
 def test_standalone_confirmation_fallback(toy_retailer):
@@ -182,7 +174,7 @@ def test_menu_fees_match_formula_on_random_plans(toy_retailer, toy_status_quo):
 
 
 def test_default_menu_sweep_matches_worked_example(toy_status_quo):
-    plans = default_menu_plans(toy_status_quo.retailer_plan, [10.0, 90.0], count=4)
+    plans = default_menu_plans(toy_status_quo.retailer_plan, [10.0, 90.0])
     assert np.allclose(plans, [[30.0, 70.0], [20.0, 80.0], [10.0, 90.0], [0.0, 100.0]])
 
 
@@ -230,7 +222,7 @@ def test_supplier_choice_matches_enumeration_on_random_menus(toy_retailer, toy_s
 
 def test_menu_containing_efficient_plan_selects_it(toy_retailer, toy_supplier, toy_status_quo):
     x_star = efficient_plan(toy_retailer, toy_supplier)
-    plans = default_menu_plans(toy_status_quo.retailer_plan, x_star, count=4)
+    plans = default_menu_plans(toy_status_quo.retailer_plan, x_star)
     menu = build_menu(toy_retailer, toy_status_quo, plans, alpha=50.0)
     choice = supplier_choose(toy_supplier, menu)
     assert np.allclose(choice.plan, x_star, atol=1e-7)

@@ -12,7 +12,8 @@ from coplan.consensus import (
     best_response,
     run_consensus,
 )
-from coplan.errors import AgentTimeoutError, ParseError, ProtocolError
+from coplan import protocol
+from coplan.errors import AgentTimeoutError, ParameterError, ParseError, ProtocolError
 from coplan.protocol import (
     MAX_LINE_BYTES,
     AgentServer,
@@ -20,7 +21,6 @@ from coplan.protocol import (
     RemoteAgent,
     decode,
     encode,
-    query_agents,
 )
 from coplan.transport import supplier_utility
 
@@ -157,15 +157,6 @@ def test_consensus_over_wire_matches_in_process(toy_retailer, toy_supplier):
     assert np.array_equal(wire.residual_history, local.residual_history)
 
 
-def test_query_agents_batches_and_checks_iteration(toy_supplier, toy_supplier_server):
-    remotes = [RemoteAgent(toy_supplier_server.address, dim=2, rho=1.0),
-               RemoteAgent(toy_supplier_server.address, dim=2, rho=1.0)]
-    plans = query_agents(remotes, [np.zeros(2), np.ones(2)], np.array([40.0, 60.0]), 1)
-    assert len(plans) == 2
-    for r in remotes:
-        r.close()
-
-
 def test_silent_agent_times_out():
     listener = socket.create_server(("127.0.0.1", 0))
 
@@ -178,7 +169,7 @@ def test_silent_agent_times_out():
     thread.start()
     remote = RemoteAgent(listener.getsockname(), dim=2, rho=1.0, timeout=0.3)
     with pytest.raises(AgentTimeoutError):
-        query_agents([remote], [np.zeros(2)], np.zeros(2), 1, timeout=0.3)
+        remote.respond(np.zeros(2), np.zeros(2), 1.0, 1)
     listener.close()
 
 
@@ -204,7 +195,7 @@ def test_wrong_iteration_echo_is_protocol_error():
     thread.start()
     remote = RemoteAgent(listener.getsockname(), dim=2, rho=1.0)
     with pytest.raises(ProtocolError, match="echoed iteration"):
-        query_agents([remote], [np.zeros(2)], np.zeros(2), 1)
+        remote.respond(np.zeros(2), np.zeros(2), 1.0, 1)
     listener.close()
 
 
@@ -214,22 +205,75 @@ def test_dimension_mismatch_session_is_rejected(toy_supplier, toy_supplier_serve
         remote.respond(np.zeros(3), np.zeros(3), 1.0, 1)
 
 
-def test_overlong_line_gets_error_and_closes_session(toy_supplier_server):
-    conn = socket.create_connection(toy_supplier_server.address, timeout=10.0)
+HELLO = Message("hello", "s1", payload={"dim": 2, "rho": 1.0})
+
+
+def exchange(address, *messages):
+    """Send raw messages on one connection and return every reply the server
+    sends before it closes the connection."""
+    conn = socket.create_connection(address, timeout=10.0)
     try:
-        conn.sendall(encode(Message("hello", "s1", payload={"dim": 2, "rho": 1.0})))
-        conn.sendall(b"x" * (MAX_LINE_BYTES + 1))  # no newline
+        for msg in messages:
+            conn.sendall(msg if isinstance(msg, bytes) else encode(msg))
         buf = b""
-        while True:
-            chunk = conn.recv(65536)
-            if not chunk:
-                break
+        while chunk := conn.recv(65536):
             buf += chunk
     finally:
         conn.close()
-    reply = decode(buf.split(b"\n", 1)[0])
-    assert reply.kind == "error" and "exceeds" in reply.payload["reason"]
-    assert buf.count(b"\n") == 1  # nothing follows: the server closed the session
+    return [decode(line) for line in buf.splitlines()]
+
+
+def test_overlong_line_gets_error_and_closes_session(toy_supplier_server):
+    replies = exchange(toy_supplier_server.address, HELLO,
+                       b"x" * (MAX_LINE_BYTES + 1))  # no newline
+    # one error and nothing after it: the server closed the session
+    assert [r.kind for r in replies] == ["error"]
+    assert "exceeds" in replies[0].payload["reason"]
+
+
+def test_offer_of_wrong_dimension_gets_error(toy_supplier_server):
+    offer = Message("offer", "s1", payload={"dim": 3, "plan": [1.0, 2.0, 3.0], "fee": 0.0})
+    replies = exchange(toy_supplier_server.address, HELLO, offer)
+    assert [(r.kind, r.payload) for r in replies] == [("error", {"reason": "dimension-mismatch"})]
+
+
+def test_offer_beyond_capacity_is_declined(toy_supplier):
+    server = AgentServer(SupplierAgent(toy_supplier)).start()  # reservation -inf
+    remote = RemoteAgent(server.address, dim=2, rho=1.0)
+    try:
+        assert remote.offer([100.0, 100.0], 0.0) is False  # capacity is 110
+        assert remote.offer([10.0, 90.0], 0.0) is True     # the session lives on
+    finally:
+        remote.close()
+        server.stop()
+
+
+def test_idle_session_is_closed(toy_supplier_server, monkeypatch):
+    monkeypatch.setattr(protocol, "DEFAULT_TIMEOUT", 0.2)
+    started = time.monotonic()
+    assert exchange(toy_supplier_server.address, HELLO) == []
+    assert time.monotonic() - started < 5.0
+
+
+def test_explicit_address_ignores_listen_env(toy_supplier, monkeypatch):
+    monkeypatch.setenv("COPLAN_LISTEN", "bogus")
+    AgentServer(SupplierAgent(toy_supplier), host="127.0.0.1", port=0).stop()
+    with pytest.raises(ParameterError, match="COPLAN_LISTEN"):
+        AgentServer(SupplierAgent(toy_supplier), host="127.0.0.1")
+
+
+def test_bind_failure_names_the_address(toy_supplier, monkeypatch):
+    busy = socket.create_server(("127.0.0.1", 0))
+    port = busy.getsockname()[1]
+    try:
+        with pytest.raises(ParameterError, match=f"127.0.0.1:{port}: ") as info:
+            AgentServer(SupplierAgent(toy_supplier), host="127.0.0.1", port=port)
+        assert "COPLAN_LISTEN" not in str(info.value)
+        monkeypatch.setenv("COPLAN_LISTEN", f"127.0.0.1:{port}")
+        with pytest.raises(ParameterError, match=rf"127.0.0.1:{port} \(from COPLAN_LISTEN\)"):
+            AgentServer(SupplierAgent(toy_supplier))
+    finally:
+        busy.close()
 
 
 def test_messages_never_carry_private_fields():

@@ -1,4 +1,5 @@
 import json
+import socket
 from pathlib import Path
 
 import numpy as np
@@ -133,6 +134,17 @@ def test_cli_rejects_bad_listen_address(listen, monkeypatch, capsys):
     monkeypatch.setenv("COPLAN_LISTEN", listen)
     assert main(["--scenario", "toy", "--mode", "protocol"]) == 2
     assert "COPLAN_LISTEN" in capsys.readouterr().err
+
+
+def test_cli_fixed_listen_port_serves_one_agent(monkeypatch, capsys):
+    # protocol mode serves two agents, so a fixed port leaves the second
+    # without an address: a documented error, not a traceback
+    probe = socket.create_server(("127.0.0.1", 0))
+    port = probe.getsockname()[1]
+    probe.close()
+    monkeypatch.setenv("COPLAN_LISTEN", f"127.0.0.1:{port}")
+    assert main(["--scenario", "toy", "--mode", "protocol"]) == 2
+    assert f"127.0.0.1:{port} (from COPLAN_LISTEN)" in capsys.readouterr().err
 
 
 def test_dynamic_report_runs(tmp_path):

@@ -39,18 +39,43 @@ def _cut_values(offsets, grads, x):
     return offsets + grads @ x
 
 
+class CutSet:
+    """Distinct cuts ``offset + grad @ x``, oldest first.
+
+    The master wants no repeated (offset, grad) row: one makes the
+    working-set KKT systems singular, which the least-squares fallback
+    survives but which invites degenerate add/drop rounds.  Adding a cut
+    identical to one already held does nothing.
+    """
+
+    def __init__(self, offsets=(), grads=()):
+        self._rows = {}  # (offset, *grad) -> None, in insertion order
+        for offset, grad in zip(offsets, grads):
+            self.add(offset, grad)
+
+    def __len__(self):
+        return len(self._rows)
+
+    def add(self, offset, grad):
+        self._rows.setdefault((float(offset), *np.asarray(grad, dtype=float).tolist()))
+
+    def keep_last(self, n):
+        self._rows = dict.fromkeys(list(self._rows)[-n:])
+
+    def arrays(self):
+        """(offsets, grads) as contiguous arrays for ``maximize_cut_model``."""
+        rows = np.array(list(self._rows))
+        return np.ascontiguousarray(rows[:, 0]), np.ascontiguousarray(rows[:, 1:])
+
+
 def maximize_cut_model(offsets, grads, center, rho, total_cap=None):
-    """Return (x, value) for the prox-regularized cut model above."""
+    """Return (x, value) for the prox-regularized cut model above.
+
+    Callers pass distinct cuts (see ``CutSet``).
+    """
     offsets = np.asarray(offsets, dtype=float)
     grads = np.atleast_2d(np.asarray(grads, dtype=float))
     center = np.asarray(center, dtype=float)
-    # duplicate cuts make the working-set KKT systems singular and invite
-    # degenerate cycling; keep the first of each identical (offset, grad) row
-    _, keep = np.unique(np.column_stack([offsets, grads]), axis=0, return_index=True)
-    if keep.size < offsets.size:
-        keep.sort()
-        offsets = offsets[keep]
-        grads = grads[keep]
     K, n = grads.shape
 
     x = project_capped(center, total_cap)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._qp import MasterError, maximize_cut_model, project_capped
+from ._qp import CutSet, MasterError, maximize_cut_model, project_capped
 from .errors import DimensionError, NonConvergenceError, ParameterError
 from .transport import retailer_utility, supplier_utility
 
@@ -103,8 +103,12 @@ def best_response(agent, prices, z, rho, start=None):
         )
     if rho <= 0:
         raise ParameterError("penalty rho must be positive")
-    if hasattr(agent, "prox_respond"):
-        plan = agent.prox_respond(prices, z, rho)
+    prox = getattr(agent, "prox_respond", None)
+    if prox is not None:
+        try:
+            plan = prox(prices, z, rho)
+        except MasterError as exc:
+            raise NonConvergenceError(f"best-response master failed: {exc}") from exc
         value = float(agent.evaluate(plan)[0])
         objective = value - prices @ plan - 0.5 * rho * float(np.sum((plan - z) ** 2))
         return BestResponse(plan=plan, objective=objective, gap=0.0, evaluations=1)
@@ -113,8 +117,7 @@ def best_response(agent, prices, z, rho, start=None):
     shift = 0.5 * rho * float(center @ center - z @ z)
     x = agent.project(center if start is None else np.asarray(start, dtype=float))
 
-    offsets: list[float] = []
-    grads: list[np.ndarray] = []
+    cuts = CutSet()
     best_val = -np.inf
     best_x = x
     for k in range(_BR_MAX_EVALS):
@@ -123,16 +126,14 @@ def best_response(agent, prices, z, rho, start=None):
         if objective > best_val:
             best_val = objective
             best_x = x
-        offsets.append(value - float(grad @ x))
-        grads.append(np.asarray(grad, dtype=float))
-        if len(offsets) > 48:
+        cuts.add(value - float(grad @ x), grad)
+        if len(cuts) > 48:
             # drop the stalest cuts; fewer constraints only raise the model,
             # so the certified upper bound stays valid
-            offsets = offsets[-32:]
-            grads = grads[-32:]
+            cuts.keep_last(32)
         try:
             xm, model_val = maximize_cut_model(
-                np.asarray(offsets), np.asarray(grads), center, rho, total_cap=agent.total_cap
+                *cuts.arrays(), center, rho, total_cap=agent.total_cap
             )
         except MasterError as exc:  # pragma: no cover - defensive
             raise NonConvergenceError(f"best-response master failed: {exc}") from exc

@@ -24,10 +24,17 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._qp import CutSet, maximize_cut_model
 from .consensus import ConsensusConfig, PlanAgent, run_consensus
 from .errors import DimensionError, ParameterError, StateError
 
 MODES = ("none", "full-horizon")
+# free weeks up to which the retailer's prox is solved exactly on its
+# 2**weeks affine pieces; wider windows keep the cutting-plane best response.
+# Timed on one coordinated week of random windows, the exact prox is faster
+# through 8 free weeks (0.60x the cutting-plane time at 6, 0.93x at 8) and
+# slower from 9 (1.5x at 9, 3.0x at 10), where the pieces double per week.
+_EXACT_PROX_MAX_WEEKS = 8
 
 
 @dataclass(frozen=True)
@@ -162,6 +169,44 @@ def _retailer_roll(model, orders, state):
     return weekly, grad
 
 
+def _retailer_pieces(model, state, prefix):
+    """Affine pieces ``offsets + grads @ y`` of the retailer's window total in
+    the free orders ``y`` that follow the committed ``prefix``.
+
+    Fixing which free weeks stock out makes every sale and end inventory
+    affine in ``y``; the total equals the minimum over all ``2**free`` such
+    patterns.  The prefix weeks roll at their committed orders into the
+    offsets, and identical pieces are dropped.
+    """
+    n = model.window(state.week).size
+    f = model.forecasts[state.week:state.week + n].tolist()
+    m, h, lost = model.retailer_margin, model.holding_cost, model.lost_sales_cost
+    free = n - prefix.size
+    # row k stocks out in free week j when bit j of k is set
+    pattern = (np.arange(1 << free)[:, None] >> np.arange(free)) & 1 == 1
+    on_off = np.full(pattern.shape[0], state.on_hand)
+    on_grad = np.zeros(pattern.shape)
+    offsets = np.zeros(pattern.shape[0])
+    grads = np.zeros(pattern.shape)
+    for idx in range(n):
+        avail_grad = on_grad.copy()
+        if idx < prefix.size:
+            # a committed week: its order, the same in every row, decides
+            avail_off = on_off + prefix[idx]
+            out = avail_off - f[idx] <= 0.0
+        else:
+            avail_off = on_off
+            avail_grad[:, idx - prefix.size] += 1.0
+            out = pattern[:, idx - prefix.size]
+        sales_off = np.where(out, avail_off, f[idx])
+        sales_grad = np.where(out[:, None], avail_grad, 0.0)
+        on_off = np.where(out, 0.0, avail_off - f[idx])
+        on_grad = np.where(out[:, None], 0.0, avail_grad)
+        offsets += (m + lost) * sales_off - h * on_off - lost * f[idx]
+        grads += (m + lost) * sales_grad - h * on_grad
+    return CutSet(offsets, grads).arrays()
+
+
 def _supplier_weeks(model, orders, state):
     """Per-week supplier flow utility and the gradient of its total."""
     m, kappa = model.supplier_margin, model.smoothing_cost
@@ -217,16 +262,33 @@ class _WindowAgent(PlanAgent):
 
 class DynamicRetailerAgent(_WindowAgent):
     """Retailer flow utility over the free weeks, capped at the window's
-    uncovered forecast total (stock beyond demand has no retail value)."""
+    uncovered forecast total (stock beyond demand has no retail value).
+
+    Up to 8 free weeks (``_EXACT_PROX_MAX_WEEKS``) the proximal best response
+    is exact: one cut-model master call on the utility's 256 or fewer affine
+    pieces, built on the first call.  Wider windows have no ``prox_respond``
+    and go through the cutting-plane best response.
+    """
 
     def __init__(self, model, state, prefix=()):
         super().__init__(model, state, prefix)
         cap = max(float(model.forecasts[self.window].sum()) - state.on_hand, 0.0)
         self.total_cap = max(cap - float(self.prefix.sum()), 0.0)
+        self._pieces = None
+        if self.dim > _EXACT_PROX_MAX_WEEKS:
+            self.prox_respond = None
 
     def evaluate(self, plan):
         weekly, grad = _retailer_roll(self.model, self._orders(plan), self.state)
         return float(weekly.sum()), grad[self.prefix.size:]
+
+    def prox_respond(self, prices, z, rho):
+        """Exact proximal best response: the flow utility is the minimum of
+        its affine pieces, so the prox problem is one cut-model master call."""
+        if self._pieces is None:
+            self._pieces = _retailer_pieces(self.model, self.state, self.prefix)
+        center = np.asarray(z, dtype=float) - np.asarray(prices, dtype=float) / rho
+        return maximize_cut_model(*self._pieces, center, rho, self.total_cap)[0]
 
 
 class DynamicSupplierAgent(_WindowAgent):

@@ -307,6 +307,9 @@ class AgentServer:
                     taking = value - msg.payload["fee"] >= self.reservation
                 except InfeasibleError:
                     taking = False
+                except ParameterError as exc:  # e.g. a negative entry
+                    channel.send(Message("error", session, payload={"reason": str(exc)}))
+                    return
                 channel.send(Message("accept" if taking else "decline", session))
             else:
                 channel.send(Message("error", session,

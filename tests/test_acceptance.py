@@ -1,5 +1,5 @@
-"""Acceptance suite: one test per release criterion, each printing a PASS
-line with its runtime.  Tolerances are pinned here, not configurable."""
+"""Acceptance suite: one test per release criterion, each printing a PASS or
+FAIL line with its runtime.  Tolerances are pinned here, not configurable."""
 
 import time
 from dataclasses import replace
@@ -37,7 +37,8 @@ from coplan.transport import (
 
 def _report(number, title, started, budget):
     elapsed = time.perf_counter() - started
-    print(f"\nACCEPTANCE {number} PASS ({elapsed:.2f}s / budget {budget:.0f}s): {title}")
+    verdict = "PASS" if elapsed < budget else "FAIL"
+    print(f"\nACCEPTANCE {number} {verdict} ({elapsed:.2f}s / budget {budget:.0f}s): {title}")
     assert elapsed < budget, f"criterion {number} exceeded its {budget}s runtime budget"
 
 

@@ -3,10 +3,12 @@ import itertools
 import numpy as np
 import pytest
 
+from coplan.consensus import PlanAgent, best_response
 from coplan.dynamic import (
     DynamicRetailerAgent,
     DynamicSupplierAgent,
     InventoryModel,
+    RollingState,
     cbt_full_horizon,
     cbt_one_week,
     commitment_baseline,
@@ -17,6 +19,7 @@ from coplan.dynamic import (
     roll_forward,
     simulate,
     supplier_flow_utility,
+    _retailer_pieces,
 )
 from coplan.errors import ParameterError, StateError
 
@@ -351,3 +354,81 @@ def test_tie_breaking_is_deterministic_across_runs():
     a = coordinated_plan(model, state).orders
     b = coordinated_plan(model, state).orders
     assert np.array_equal(a, b)
+
+
+def random_window(rng, weeks):
+    """A model, a state with stock on hand and a committed prefix of random
+    length, over a window of ``weeks`` weeks."""
+    model = InventoryModel(forecasts=rng.uniform(2.0, 20.0, size=weeks + 2),
+                           holding_cost=float(rng.uniform(0.2, 2.0)),
+                           lost_sales_cost=float(rng.uniform(3.0, 12.0)),
+                           retailer_margin=float(rng.uniform(4.0, 12.0)),
+                           horizon=weeks)
+    state = RollingState(week=int(rng.integers(0, 3)), on_hand=float(rng.uniform(0.0, 25.0)),
+                         last_order=0.0, plan_of_record=None, cumulative_cbt=0.0,
+                         mode="none")
+    prefix = rng.uniform(0.0, 25.0, size=int(rng.integers(0, weeks)))
+    return model, state, prefix
+
+
+def test_retailer_pieces_take_the_rolled_total_as_their_minimum():
+    rng = np.random.default_rng(61)
+    for _ in range(150):
+        model, state, prefix = random_window(rng, int(rng.integers(1, 7)))
+        free = model.window(state.week).size - prefix.size
+        offsets, grads = _retailer_pieces(model, state, prefix)
+        assert offsets.size <= 2 ** free
+        for _ in range(20):
+            # zero orders now and then, so stock-outs and exact boundaries occur
+            plan = rng.uniform(0.0, 40.0, size=free) * (rng.random(free) < 0.8)
+            _, total = retailer_flow_utility(model, np.concatenate([prefix, plan]), state)
+            model_min = float(np.min(offsets + grads @ plan))
+            assert abs(model_min - total) <= 1e-9 * max(1.0, abs(total))
+
+
+class CuttingPlaneOnly(PlanAgent):
+    """The same utility without ``prox_respond``: best responses go through
+    the cutting-plane loop."""
+
+    def __init__(self, agent):
+        self.agent = agent
+        self.dim = agent.dim
+        self.total_cap = agent.total_cap
+
+    def evaluate(self, plan):
+        return self.agent.evaluate(plan)
+
+
+def test_exact_retailer_prox_matches_cutting_plane():
+    rng = np.random.default_rng(67)
+    for _ in range(60):
+        model, state, prefix = random_window(rng, int(rng.integers(1, 7)))
+        agent = DynamicRetailerAgent(model, state, prefix)
+        z = rng.uniform(0.0, 20.0, size=agent.dim)
+        prices = rng.normal(0.0, 5.0, size=agent.dim)
+        rho = float(rng.choice([0.5, 3.0, 12.0]))
+        exact = best_response(agent, prices, z, rho)
+        cut = best_response(CuttingPlaneOnly(agent), prices, z, rho)
+        assert np.all(exact.plan >= 0.0)
+        assert exact.plan.sum() <= agent.total_cap + 1e-9
+        # the cutting-plane objective is within its certified gap of the optimum
+        tol = cut.gap + 1e-9 * (1.0 + abs(cut.objective))
+        assert abs(exact.objective - cut.objective) <= tol
+
+
+def test_wide_windows_keep_the_cutting_plane_response():
+    model = InventoryModel(forecasts=[9.0, 4.0, 11.0, 6.0, 13.0, 7.0, 5.0, 12.0, 8.0, 10.0],
+                           horizon=9, smoothing_cost=0.8, supplier_margin=2.5)
+    state = model.initial_state()
+    assert DynamicRetailerAgent(model, state).prox_respond is None      # 9 free weeks
+    assert DynamicRetailerAgent(model, state, prefix=[9.0]).prox_respond is not None
+    demand = np.array([8.0, 6.0, 12.0, 5.0, 14.0, 6.0, 4.0, 13.0, 9.0, 9.0])
+    records, final = simulate(model, demand, mode="none")
+    assert len(records) == 10
+    assert final.cumulative_cbt == pytest.approx(sum(r.cbt for r in records))
+    for rec in records:
+        assert rec.cbt >= -1e-6
+        assert rec.joint_total_plan >= rec.joint_total_jit - 1e-9
+    records, _ = simulate(model, model.forecasts, mode="full-horizon")
+    for rec in records[1:]:
+        assert rec.cbt == 0.0

@@ -237,6 +237,15 @@ def test_offer_of_wrong_dimension_gets_error(toy_supplier_server):
     assert [(r.kind, r.payload) for r in replies] == [("error", {"reason": "dimension-mismatch"})]
 
 
+def test_offer_with_negative_entry_gets_error(toy_supplier_server):
+    remote = RemoteAgent(toy_supplier_server.address, dim=2, rho=1.0)
+    try:
+        with pytest.raises(ProtocolError, match="nonnegative"):
+            remote.offer([-5.0, 10.0], 0.0)
+    finally:
+        remote.close()
+
+
 def test_offer_beyond_capacity_is_declined(toy_supplier):
     server = AgentServer(SupplierAgent(toy_supplier)).start()  # reservation -inf
     remote = RemoteAgent(server.address, dim=2, rho=1.0)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from coplan._qp import maximize_cut_model, project_capped
+from coplan._qp import CutSet, maximize_cut_model, project_capped
 
 
 def model_value(offsets, grads, center, rho, x):
@@ -145,3 +145,20 @@ def test_master_never_stalls_on_adversarial_instances():
         assert np.all(x >= -1e-8)
         if cap is not None:
             assert x.sum() <= cap + 1e-7
+
+
+def test_cut_set_keeps_the_first_of_identical_cuts_in_order():
+    cuts = CutSet([1.0, 2.0, 1.0, -0.0], [[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.5, 0.5]])
+    cuts.add(0.0, np.array([0.5, 0.5]))      # equal to the -0.0 row
+    cuts.add(2.0, [0.0, 1.5])
+    assert len(cuts) == 4
+    offsets, grads = cuts.arrays()
+    assert offsets.tolist() == [1.0, 2.0, -0.0, 2.0]
+    assert np.signbit(offsets[2])
+    assert grads.tolist() == [[1.0, 0.0], [0.0, 1.0], [0.5, 0.5], [0.0, 1.5]]
+    assert offsets.flags.c_contiguous and grads.flags.c_contiguous
+    cuts.keep_last(2)
+    cuts.add(1.0, [1.0, 0.0])                # dropped, so it comes back
+    offsets, grads = cuts.arrays()
+    assert offsets.tolist() == [-0.0, 2.0, 1.0]
+    assert grads.tolist() == [[0.5, 0.5], [0.0, 1.5], [1.0, 0.0]]

@@ -183,8 +183,7 @@ class ConsensusState:
     iteration: int
     z: np.ndarray                 # consensus proposal
     prices: np.ndarray            # (M, I), rows sum to zero exactly
-    responses: np.ndarray         # (M, I) latest best responses
-    r_primal: float               # max_m ||responses[m] - z||
+    r_primal: float               # max_m ||responses[m] - z|| at the last step
     r_dual: float                 # rho * ||z - z_prev||
     rho: float
 
@@ -209,7 +208,6 @@ def coordinator_step(state, responses):
         iteration=state.iteration + 1,
         z=z_new,
         prices=prices,
-        responses=X,
         r_primal=r_primal,
         r_dual=r_dual,
         rho=rho,
@@ -265,7 +263,6 @@ def run_consensus(agents, config=None, trace=None):
 
     emit = _trace_emitter(trace)
     state = ConsensusState(iteration=0, z=z, prices=prices,
-                           responses=np.tile(z, (M, 1)),
                            r_primal=np.inf, r_dual=np.inf, rho=config.rho)
     history = []
     converged = False

@@ -175,26 +175,16 @@ class BoostedRetailerAgent(RetailerAgent):
         return value, grad
 
 
-def efficient_plan(retailer, supplier, fee=None, method="centralized",
-                   status_quo=None, config=None):
+def efficient_plan(retailer, supplier, fee=None, status_quo=None):
     """Plan maximizing the (possibly fee-biased) reported retailer utility
-    plus the supplier utility over X.
-
-    ``centralized`` solves one joint LP over plans and both transport flows;
-    ``cpp`` runs the consensus loop against black-box agents and projects the
-    limit back into X.
-    """
+    plus the supplier utility over X, by one joint LP over plans and both
+    transport flows.  :func:`consensus_plan` reaches the same plan by the
+    consensus loop against black-box agents."""
     fee = fee or FeePolicy.none()
     if fee.variant == "linear_deviation" and status_quo is None:
         status_quo = standalone_plans(retailer, supplier)
-
-    if method == "centralized":
-        reference = status_quo.retailer_plan if status_quo is not None else None
-        return _efficient_plan_lp(retailer, supplier, fee, reference)
-    if method != "cpp":
-        raise ParameterError(f"unknown method {method!r}")
-    return consensus_plan(retailer, supplier, fee=fee, status_quo=status_quo,
-                          config=config)[0]
+    reference = status_quo.retailer_plan if status_quo is not None else None
+    return _efficient_plan_lp(retailer, supplier, fee, reference)
 
 
 def consensus_plan(retailer, supplier, fee=None, status_quo=None, config=None,

@@ -123,19 +123,22 @@ def _run_jit(scenario):
     return payload, rendered, status_quo
 
 
+def _coordinate(scenario, status_quo, fee=None, trace=None):
+    """Efficient plan under the reported utilities, by the scenario's mode:
+    the joint LP in ``centralized`` mode, else the consensus loop (over the
+    wire in ``protocol`` mode) with its result; the result is None for the LP."""
+    if scenario.mode == "centralized":
+        return efficient_plan(scenario.retailer, scenario.supplier, fee=fee,
+                              status_quo=status_quo), None
+    return consensus_plan(scenario.retailer, scenario.supplier, fee=fee,
+                          status_quo=status_quo, config=scenario.consensus, trace=trace,
+                          endpoints=served if scenario.mode == "protocol" else None)
+
+
 def _run_firstbest(scenario, status_quo, jit_payload, trace):
     # true socially efficient plan; fee-induced allocation bias (if any)
     # shows up in the settlement section instead
-    if scenario.mode == "centralized":
-        plan = efficient_plan(scenario.retailer, scenario.supplier,
-                              status_quo=status_quo)
-        iterations = None
-    else:
-        plan, result = consensus_plan(
-            scenario.retailer, scenario.supplier, status_quo=status_quo,
-            config=scenario.consensus, trace=trace,
-            endpoints=served if scenario.mode == "protocol" else None)
-        iterations = result.iterations
+    plan, result = _coordinate(scenario, status_quo, trace=trace)
     ev_r = retailer_utility(scenario.retailer, plan)
     ev_s = supplier_utility(scenario.supplier, plan)
     total_cost = ev_r.transport.objective + ev_s.transport.objective
@@ -152,8 +155,9 @@ def _run_firstbest(scenario, status_quo, jit_payload, trace):
         "gain": gain,
         "cost_reduction_pct": reduction,
     }
-    if iterations is not None:
-        payload["consensus_iterations"] = iterations
+    if result is not None:
+        payload["consensus_iterations"] = result.iterations
+        payload["converged"] = result.converged
     rendered = [
         "== First-best coordination ==",
         f"coordinated plan        : {_fmt_plan(plan)}",
@@ -161,6 +165,9 @@ def _run_firstbest(scenario, status_quo, jit_payload, trace):
         f"joint utility           : ${payload['joint_utility']:,.2f}",
         f"coordination gain       : ${gain:,.2f}",
     ]
+    if result is not None and not result.converged:
+        rendered.append(f"consensus               : did not converge in {result.iterations}"
+                        " iterations; the plan is not first-best")
     return payload, rendered, plan
 
 
@@ -168,11 +175,7 @@ def _run_vcg(scenario, status_quo, plan):
     settled_plan = plan
     if scenario.fee.report_scale != 1.0 or scenario.fee.variant == "linear_deviation":
         # reported-utility bias moves the allocation itself
-        method = "centralized" if scenario.mode == "centralized" else "cpp"
-        settled_plan = efficient_plan(scenario.retailer, scenario.supplier,
-                                      fee=scenario.fee, method=method,
-                                      status_quo=status_quo,
-                                      config=scenario.consensus)
+        settled_plan = _coordinate(scenario, status_quo, fee=scenario.fee)[0]
     report = vcg_transfers(scenario.retailer, scenario.supplier, status_quo,
                            settled_plan, scenario.fee)
     report.verify()

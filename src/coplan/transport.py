@@ -2,9 +2,13 @@
 
 The solver is a primal transportation simplex on the balanced tableau with
 Bland's pivoting rule, so optima (and the flow matrices reported for tied
-optima) are reproducible across runs.  Dual prices are recovered from the
-final basis tree and normalized against a free-disposal dummy column, which
-makes them valid shadow prices for the inequality-form problem:
+optima) are reproducible across runs.  The basis is a spanning tree over the
+rows and columns, kept as adjacency sets that each pivot updates in place;
+one walk of the tree from row 0 per pivot gives the dual potentials and
+every node's parent, and the entering cycle is the tree path between the
+entering cell's row and column.  Dual prices are read off the final tree and
+normalized against a free-disposal dummy column, which makes them valid
+shadow prices for the inequality-form problem:
 
     minimize    sum_ij c_ij v_ij
     subject to  sum_j v_ij <= row_bounds[i]        (row duals <= 0)
@@ -57,21 +61,23 @@ class TransportSolution:
     col_duals: np.ndarray     # shadow price of each column requirement (>= 0)
     slack_flow: np.ndarray    # per-column units drawn from the virtual slack source
     dual_objective: float = field(default=0.0, repr=False)
-    status: str = "optimal"
 
 
 def _northwest_corner(supply, demand):
-    """Initial basic feasible solution with exactly m + n - 1 basic cells."""
+    """Initial basic feasible solution with exactly m + n - 1 basic cells,
+    and its basis tree as adjacency sets: rows are nodes 0..m-1, columns
+    nodes m..m+n-1."""
     m, n = supply.size, demand.size
     flow = np.zeros((m, n))
-    basic = np.zeros((m, n), dtype=bool)
+    tree = [set() for _ in range(m + n)]
     s = supply.copy()
     d = demand.copy()
     i = j = 0
     while True:
         q = min(s[i], d[j])
         flow[i, j] = q
-        basic[i, j] = True
+        tree[i].add(m + j)
+        tree[m + j].add(i)
         s[i] -= q
         d[j] -= q
         if i == m - 1 and j == n - 1:
@@ -80,100 +86,64 @@ def _northwest_corner(supply, demand):
             i += 1
         else:
             j += 1
-    return flow, basic
+    return flow, tree
 
 
-def _duals_from_basis(costs, basic):
-    """Solve u_i + w_j = c_ij over the basis spanning tree (u[0] = 0)."""
-    m, n = costs.shape
-    u = np.full(m, np.nan)
-    w = np.full(n, np.nan)
-    u[0] = 0.0
-    rows_by_col = [np.nonzero(basic[:, j])[0] for j in range(n)]
-    cols_by_row = [np.nonzero(basic[i, :])[0] for i in range(m)]
-    stack = [(True, 0)]
+def _walk_tree(costs, tree):
+    """Walk the basis tree from row 0: the potentials solving u_i + w_j = c_ij
+    on every tree cell (u_0 = 0), each set from its tree parent, and each
+    node's parent (-1 at the root).  ``costs`` is a list of row lists."""
+    m = len(costs)
+    pot = [0.0] * len(tree)
+    parent = [-1] * len(tree)
+    stack = [0]
     while stack:
-        is_row, idx = stack.pop()
-        if is_row:
-            for j in cols_by_row[idx]:
-                if np.isnan(w[j]):
-                    w[j] = costs[idx, j] - u[idx]
-                    stack.append((False, j))
-        else:
-            for i in rows_by_col[idx]:
-                if np.isnan(u[i]):
-                    u[i] = costs[i, idx] - w[idx]
-                    stack.append((True, i))
-    return u, w
+        v = stack.pop()
+        for x in tree[v]:
+            if x != parent[v]:
+                parent[x] = v
+                pot[x] = costs[v][x - m] - pot[v] if v < m else costs[x][v - m] - pot[v]
+                stack.append(x)
+    return np.array(pot[:m]), np.array(pot[m:]), parent
 
 
-def _basis_cycle(basic, enter):
-    """Unique alternating cycle closed by adding `enter` to the basis tree."""
-    m, n = basic.shape
-    ei, ej = enter
-    # Breadth-first search in the bipartite basis graph from row ei to col ej.
-    parent = {}
-    start = ("r", ei)
-    goal = ("c", ej)
-    frontier = [start]
-    parent[start] = None
-    while frontier:
-        nxt = []
-        for node in frontier:
-            kind, idx = node
-            if kind == "r":
-                for j in np.nonzero(basic[idx, :])[0]:
-                    child = ("c", int(j))
-                    if child not in parent:
-                        parent[child] = node
-                        nxt.append(child)
-            else:
-                for i in np.nonzero(basic[:, idx])[0]:
-                    child = ("r", int(i))
-                    if child not in parent:
-                        parent[child] = node
-                        nxt.append(child)
-        if goal in parent:
-            break
-        frontier = nxt
-    if goal not in parent:
-        raise ArithmeticError("basis tree is disconnected")  # pragma: no cover
-    nodes = []
-    cur = goal
-    while cur is not None:
-        nodes.append(cur)
-        cur = parent[cur]
-    nodes.reverse()  # row ei ... col ej
-    cells = []
-    for a, b in zip(nodes[:-1], nodes[1:]):
-        if a[0] == "r":
-            cells.append((a[1], b[1]))
-        else:
-            cells.append((b[1], a[1]))
-    return [enter] + cells
-
-
-def _optimize(costs, flow, basic):
+def _optimize(costs, flow, tree):
     m, n = costs.shape
+    cost_rows = costs.tolist()
     for _ in range(_MAX_PIVOTS):
-        u, w = _duals_from_basis(costs, basic)
+        u, w, parent = _walk_tree(cost_rows, tree)
         reduced = costs - u[:, None] - w[None, :]
-        reduced[basic] = 0.0
-        # Bland's rule: first improving cell in row-major order.
-        improving = np.argwhere(reduced < -_TOL)
-        if improving.size == 0:
+        # Bland's rule: first improving cell in row-major order.  Tree cells
+        # price at zero only up to rounding, so they are skipped by name.
+        cells = (divmod(k, n) for k in np.flatnonzero(reduced < -_TOL).tolist())
+        enter = next(((i, j) for i, j in cells if m + j not in tree[i]), None)
+        if enter is None:
             return u, w
-        ei, ej = (int(improving[0][0]), int(improving[0][1]))
-        cycle = _basis_cycle(basic, (ei, ej))
-        minus = cycle[1::2]
+        ei, ej = enter
+        # The entering cycle: the tree path from row ei up to the common
+        # ancestor and down to column ej; its cells alternate -, +, ..., -.
+        up = [ei]
+        while parent[up[-1]] >= 0:
+            up.append(parent[up[-1]])
+        rank = {v: k for k, v in enumerate(up)}
+        down = [m + ej]
+        while down[-1] not in rank:
+            down.append(parent[down[-1]])
+        path = up[:rank[down[-1]] + 1] + down[-2::-1]
+        cycle = [(a, b - m) if a < m else (b, a - m) for a, b in zip(path, path[1:])]
+        minus = cycle[0::2]
         theta = min(flow[c] for c in minus)
         # Leaving cell: lowest row-major index among the ties (anti-cycling).
-        leave = min(c for c in minus if flow[c] <= theta + _EPS)
-        for k, c in enumerate(cycle):
-            flow[c] = flow[c] + theta if k % 2 == 0 else flow[c] - theta
-        flow[leave] = 0.0
-        basic[ei, ej] = True
-        basic[leave] = False
+        li, lj = min(c for c in minus if flow[c] <= theta + _EPS)
+        for c in [enter] + cycle[1::2]:
+            flow[c] += theta
+        for c in minus:
+            flow[c] -= theta
+        flow[li, lj] = 0.0
+        tree[ei].add(m + ej)
+        tree[m + ej].add(ei)
+        tree[li].remove(m + lj)
+        tree[m + lj].remove(li)
     raise ArithmeticError("transportation simplex exceeded its pivot budget")
 
 
@@ -220,8 +190,8 @@ def solve_transport(costs, row_bounds, col_requirements, slack_penalty=None):
     tab_costs = np.hstack([tab_costs, np.zeros((tab_costs.shape[0], 1))])
     demand = np.append(cq, surplus)
 
-    flow, basic = _northwest_corner(supply, demand)
-    u, w = _optimize(tab_costs, flow, basic)
+    flow, tree = _northwest_corner(supply, demand)
+    u, w = _optimize(tab_costs, flow, tree)
 
     # Normalize duals so the dummy (disposal) column prices at zero; the
     # resulting row duals are <= 0 and column duals >= 0.

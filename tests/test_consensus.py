@@ -95,16 +95,15 @@ def test_best_response_rejects_bad_inputs(toy_retailer, monkeypatch):
         best_response(agent, np.zeros(2), np.array([5.0, 5.0]), 1.0)
 
 
-def _state(prices, z, responses, rho=1.0):
+def _state(prices, z, rho=1.0):
     prices = np.asarray(prices, dtype=float)
     return ConsensusState(iteration=0, z=np.asarray(z, dtype=float), prices=prices,
-                          responses=np.asarray(responses, dtype=float),
                           r_primal=np.inf, r_dual=np.inf, rho=rho)
 
 
 def test_coordinator_step_fixed_point():
     z = np.array([3.0, 4.0])
-    state = _state(np.zeros((2, 2)), z, np.tile(z, (2, 1)))
+    state = _state(np.zeros((2, 2)), z)
     nxt = coordinator_step(state, np.tile(z, (2, 1)))
     assert np.array_equal(nxt.z, z)
     assert nxt.r_primal == 0.0
@@ -112,7 +111,7 @@ def test_coordinator_step_fixed_point():
 
 
 def test_coordinator_step_two_agent_arithmetic():
-    state = _state(np.zeros((2, 2)), np.zeros(2), np.zeros((2, 2)))
+    state = _state(np.zeros((2, 2)), np.zeros(2))
     nxt = coordinator_step(state, [np.array([0.0, 0.0]), np.array([2.0, 2.0])])
     assert np.allclose(nxt.z, [1.0, 1.0])
     assert np.allclose(nxt.prices[0], [-1.0, -1.0])
@@ -127,14 +126,13 @@ def test_price_sum_is_exactly_zero_over_random_steps():
         dim = int(rng.integers(1, 5))
         prices = rng.normal(scale=10, size=(M, dim))
         prices[-1] = -prices[:-1].sum(axis=0)
-        state = _state(prices, rng.normal(size=dim), rng.normal(size=(M, dim)),
-                       rho=float(rng.choice([0.5, 1.0, 3.0])))
+        state = _state(prices, rng.normal(size=dim), rho=float(rng.choice([0.5, 1.0, 3.0])))
         nxt = coordinator_step(state, rng.normal(size=(M, dim)))
         assert np.all(nxt.prices.sum(axis=0) == 0.0)
 
 
 def test_coordinator_step_dimension_error():
-    state = _state(np.zeros((2, 2)), np.zeros(2), np.zeros((2, 2)))
+    state = _state(np.zeros((2, 2)), np.zeros(2))
     with pytest.raises(DimensionError):
         coordinator_step(state, np.zeros((3, 2)))
 

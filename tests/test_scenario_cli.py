@@ -108,6 +108,42 @@ def test_protocol_mode_reproduces_cpp(toy):
     assert wire.machine["vcg"]["supplier_accepts"] is True
 
 
+def test_protocol_fee_replan_goes_over_the_wire(toy, monkeypatch):
+    from dataclasses import replace
+
+    from coplan import protocol, reports
+    from coplan.mechanism import FeePolicy
+
+    sessions = []
+
+    def served(agents, rho, **kwargs):
+        sessions.append([getattr(agent, "fee", None) for agent in agents])
+        return protocol.served(agents, rho, **kwargs)
+
+    monkeypatch.setattr(reports, "served", served)
+    fee = FeePolicy.multiplicative(0.2)
+    analyses = ["jit", "firstbest", "vcg"]
+    cpp = run(replace(toy, mode="cpp", fee=fee), analyses=analyses).machine
+    assert sessions == []
+    wire = run(replace(toy, mode="protocol", fee=fee), analyses=analyses).machine
+    assert (cpp.pop("mode"), wire.pop("mode")) == ("cpp", "protocol")
+    assert wire == cpp
+    # first-best consensus, the fee-biased re-plan, then the offer
+    assert sessions == [[FeePolicy.none(), None], [fee, None], [None]]
+
+
+def test_unconverged_consensus_is_flagged(toy):
+    from dataclasses import replace
+    assert run(replace(toy, mode="cpp"), analyses=["firstbest"]).machine["firstbest"]["converged"]
+    short = replace(toy, mode="cpp", consensus=replace(toy.consensus, max_iters=3))
+    report = run(short, analyses=["firstbest"])
+    firstbest = report.machine["firstbest"]
+    assert firstbest["consensus_iterations"] == 3
+    assert firstbest["converged"] is False
+    assert "did not converge in 3 iterations" in report.text
+    assert "converged" not in run(toy, analyses=["firstbest"]).machine["firstbest"]
+
+
 def test_machine_report_is_byte_identical_across_runs(toy):
     a = run(toy, analyses=["jit", "firstbest", "vcg", "menu"]).to_json()
     b = run(toy, analyses=["jit", "firstbest", "vcg", "menu"]).to_json()

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -240,3 +243,71 @@ def test_objective_matches_scipy_on_larger_instances():
                       bounds=(0, None), method="highs")
         assert res.status == 0
         assert sol.objective == pytest.approx(res.fun, abs=1e-6 * (1 + abs(res.fun)))
+
+
+# ---------------------------------------------------------------------------
+# Tie-breaking bits: degenerate instances pinned by tests/golden.
+
+DEGENERATE_GOLDEN = Path(__file__).parent / "golden" / "transport_degenerate.json"
+
+
+def degenerate_instances():
+    """Seeded instances with tied costs (integers 1-5), zero rows and
+    columns, balanced totals and a slack penalty that can tie the dearest
+    arc, at 1-10 nodes a side, half of them with slack.  A third have
+    quantities in thirds, so ties in the leaving rule meet rounding."""
+    rng = np.random.default_rng(2026)
+    cases = []
+    for k in range(200):
+        m = 1 + k % 10
+        n = int(rng.integers(1, 11))
+        costs = rng.integers(1, 6, size=(m, n))
+        bounds = rng.integers(0, 21, size=m) * (rng.random(m) >= 0.3)
+        reqs = rng.integers(0, 21, size=n) * (rng.random(n) >= 0.3)
+        if k % 3 == 2:
+            bounds, reqs = bounds / 3.0, reqs / 3.0
+        slack = int(rng.choice([5, 6, 20])) if k % 2 else None
+        if slack is None and bounds.sum() < reqs.sum():
+            bounds[int(rng.integers(0, m))] += reqs.sum() - bounds.sum()
+        elif slack is None and k % 4 == 0:
+            reqs[int(rng.integers(0, n))] += bounds.sum() - reqs.sum()  # balanced
+        cases.append({"costs": costs.tolist(), "row_bounds": bounds.tolist(),
+                      "col_requirements": reqs.tolist(), "slack_penalty": slack})
+    return cases
+
+
+def _bits(sol):
+    def hexed(a):
+        return np.vectorize(float.hex, otypes=[object])(np.asarray(a, dtype=float)).tolist()
+
+    return {"flow": hexed(sol.flow), "row_duals": hexed(sol.row_duals),
+            "col_duals": hexed(sol.col_duals), "slack_flow": hexed(sol.slack_flow),
+            "objective": float.hex(sol.objective),
+            "dual_objective": float.hex(sol.dual_objective)}
+
+
+def _outcome(case):
+    # one instance in thirds hits the known IndexError of _northwest_corner
+    # (leftover supply from rounding); its outcome is pinned like the rest
+    try:
+        sol = solve_transport(case["costs"], case["row_bounds"], case["col_requirements"],
+                              slack_penalty=case["slack_penalty"])
+    except IndexError as exc:
+        return {"error": type(exc).__name__}
+    return _bits(sol)
+
+
+def test_degenerate_instances_keep_their_bits():
+    # flows of tied optima and duals of degenerate bases, bit for bit; rewrite
+    # the golden file (PYTHONPATH=src python tests/test_transport.py) only
+    # when they are meant to change
+    cases = [json.loads(line) for line in DEGENERATE_GOLDEN.read_text().splitlines()]
+    for k, case in enumerate(cases):
+        assert _outcome(case) == case["outcome"], f"instance {k}"
+
+
+if __name__ == "__main__":
+    DEGENERATE_GOLDEN.write_text("".join(
+        json.dumps({**case, "outcome": _outcome(case)},
+                   separators=(",", ":")) + "\n"
+        for case in degenerate_instances()))

@@ -7,6 +7,11 @@ externality transfer, applies activity-fee variants, and prices menus of
 contracts that let the supplier pick the efficient plan in dominant
 strategies.
 
+The centralized LP is one call of the transport simplex: a source-to-region
+transportation problem whose cells route through the cheapest inbound node
+(:func:`linprog`), with a lane per inbound node for the linear-deviation
+fee.  The package needs no external LP solver.
+
 Plans here live in X = {x >= 0, sum(x) <= total demand}: ordering more than
 can possibly sell has no retail value, and leaving the total uncapped would
 let gross supplier margin on unsellable units masquerade as joint surplus.
@@ -16,7 +21,6 @@ from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import linprog
 
 from ._qp import project_capped
 from .consensus import ConsensusConfig, RetailerAgent, SupplierAgent, run_consensus
@@ -178,13 +182,13 @@ class BoostedRetailerAgent(RetailerAgent):
 def efficient_plan(retailer, supplier, fee=None, status_quo=None):
     """Plan maximizing the (possibly fee-biased) reported retailer utility
     plus the supplier utility over X, by one joint LP over plans and both
-    transport flows.  :func:`consensus_plan` reaches the same plan by the
-    consensus loop against black-box agents."""
+    transport flows (:func:`linprog`).  :func:`consensus_plan` reaches the
+    same plan by the consensus loop against black-box agents."""
     fee = fee or FeePolicy.none()
     if fee.variant == "linear_deviation" and status_quo is None:
         status_quo = standalone_plans(retailer, supplier)
     reference = status_quo.retailer_plan if status_quo is not None else None
-    return _efficient_plan_lp(retailer, supplier, fee, reference)
+    return linprog(retailer, supplier, fee, reference)
 
 
 def consensus_plan(retailer, supplier, fee=None, status_quo=None, config=None,
@@ -212,71 +216,66 @@ def consensus_plan(retailer, supplier, fee=None, status_quo=None, config=None,
     return project_capped(result.plan, cap), result
 
 
-def _efficient_plan_lp(retailer, supplier, fee, reference):
+def linprog(retailer, supplier, fee, reference):
+    """The joint plan LP of :func:`efficient_plan`, solved as one
+    transportation problem; returns the plan.
+
+    Rows are the supplier's sources and columns the retailer's regions, with
+    lost sales on the solver's slack row at the scaled penalty.  A unit from
+    source k to region j goes through its cheapest inbound node, so cell
+    (k, j) costs ``min_i(c^s_ki - g_i + scale * c^r_ij)`` and ``x_i`` sums
+    the flows routed through node i (ties to the lowest index).  Units never
+    pile up at an inbound node: one would take the place of a lost sale
+    under the total-demand cap, and routing it to that region instead saves
+    ``scale * (penalty - c^r_ij) > 0``.
+
+    The ``linear_deviation`` fee adds ``over_rate`` to every cell and gives
+    each node a lane of ``reference[i]`` units at ``-under_rate`` instead.
+    A lane is a transshipment pair: a lane column that sources fill, and a
+    lane row of the same size that passes those units on to the regions or
+    back to its own column (the lane's unused room).  The lane row's
+    legitimate cells are priced a bonus below the rest, so it never
+    disposes of units (which would carry unsold units past the cap).  Lanes
+    come first so the northwest corner starts on their diagonal.
+
+    The name is kept from the scipy call this replaced: perfbench's tracer
+    wraps ``mechanism.linprog`` by name, so its ``mechanism.lp_calls`` and
+    ``mechanism.lp_ms`` count joint-LP solves.
+    """
     I = retailer.n_inbound
-    J = retailer.demand.size
-    K = supplier.capacities.size
+    if I == 0:
+        return np.zeros(0)  # no inbound node: nothing to route
     scale = fee.report_scale
-    extra = 2 * I if fee.variant == "linear_deviation" else 0
-    nva, nsa, nvs = I * J, J, K * I
-    n = I + nva + nsa + nvs + extra
-    c = np.zeros(n)
-    c[:I] = -supplier.gross_profit
-    c[I:I + nva] = scale * retailer.arc_costs.reshape(-1)
-    c[I + nva:I + nva + nsa] = scale * retailer.lost_sales_penalty
-    c[I + nva + nsa:I + nva + nsa + nvs] = supplier.arc_costs.reshape(-1)
-    if extra:
-        c[-2 * I:-I] = fee.over_rate
-        c[-I:] = fee.under_rate
+    margin = supplier.arc_costs - supplier.gross_profit              # (K, I)
+    lanes = fee.variant == "linear_deviation"
+    path = margin[:, :, None] + scale * retailer.arc_costs[None, :, :]
+    if lanes:
+        path += fee.over_rate
+    route = path.argmin(axis=1)                                      # (K, J)
+    cells = path.min(axis=1)
+    penalty = scale * retailer.lost_sales_penalty
+    if not lanes:
+        sol = solve_transport(cells, supplier.capacities, retailer.demand,
+                              slack_penalty=penalty)
+        return _routed_plan(sol.flow, route, I)
 
-    A = []
-    b = []
-    for j in range(J):
-        row = np.zeros(n)
-        for i in range(I):
-            row[I + i * J + j] = -1.0
-        row[I + nva + j] = -1.0
-        A.append(row)
-        b.append(-retailer.demand[j])
-    for i in range(I):
-        row = np.zeros(n)
-        row[i] = -1.0
-        row[I + i * J:I + (i + 1) * J] = 1.0
-        A.append(row)
-        b.append(0.0)
-    for i in range(I):
-        row = np.zeros(n)
-        row[i] = 1.0
-        for k in range(K):
-            row[I + nva + nsa + k * I + i] = -1.0
-        A.append(row)
-        b.append(0.0)
-    for k in range(K):
-        row = np.zeros(n)
-        row[I + nva + nsa + k * I:I + nva + nsa + (k + 1) * I] = 1.0
-        A.append(row)
-        b.append(supplier.capacities[k])
-    row = np.zeros(n)
-    row[:I] = 1.0
-    A.append(row)
-    b.append(retailer.demand.sum())
-    if extra:
-        for i in range(I):  # over >= x - ref, under >= ref - x
-            row = np.zeros(n)
-            row[i] = 1.0
-            row[n - 2 * I + i] = -1.0
-            A.append(row)
-            b.append(reference[i])
-            row = np.zeros(n)
-            row[i] = -1.0
-            row[n - I + i] = -1.0
-            A.append(row)
-            b.append(-reference[i])
+    ref = np.asarray(reference, dtype=float)
+    # more than any one unit of disposal could gain
+    bonus = 1.0 + 2.0 * (penalty + np.abs(margin).max(initial=0.0)
+                         + fee.over_rate + fee.under_rate)
+    lane_rows = np.hstack([-bonus * np.eye(I), scale * retailer.arc_costs - bonus])
+    source_rows = np.hstack([margin - fee.under_rate, cells])
+    sol = solve_transport(np.vstack([lane_rows, source_rows]),
+                          row_bounds=np.concatenate([ref, supplier.capacities]),
+                          col_requirements=np.concatenate([ref, retailer.demand]),
+                          slack_penalty=penalty)
+    flow = sol.flow[I:]
+    return flow[:, :I].sum(axis=0) + _routed_plan(flow[:, I:], route, I)
 
-    res = linprog(c, A_ub=np.asarray(A), b_ub=np.asarray(b), bounds=(0, None), method="highs")
-    if res.status != 0:
-        raise InfeasibleError(f"joint planning LP failed: {res.message}")
-    return np.maximum(res.x[:I], 0.0)
+
+def _routed_plan(flow, route, n_inbound):
+    """Units per inbound node of a source-by-region flow sent along ``route``."""
+    return np.bincount(route.ravel(), weights=flow.ravel(), minlength=n_inbound)
 
 
 @dataclass(frozen=True)

@@ -172,10 +172,10 @@ def _run_firstbest(scenario, status_quo, jit_payload, trace):
 
 
 def _run_vcg(scenario, status_quo, plan):
-    settled_plan = plan
+    settled_plan, replan = plan, None
     if scenario.fee.report_scale != 1.0 or scenario.fee.variant == "linear_deviation":
         # reported-utility bias moves the allocation itself
-        settled_plan = _coordinate(scenario, status_quo, fee=scenario.fee)[0]
+        settled_plan, replan = _coordinate(scenario, status_quo, fee=scenario.fee)
     report = vcg_transfers(scenario.retailer, scenario.supplier, status_quo,
                            settled_plan, scenario.fee)
     report.verify()
@@ -199,6 +199,9 @@ def _run_vcg(scenario, status_quo, plan):
         "budget_regime": diagnosis.regime,
         "supplier_accepts": bool(accepted),
     }
+    if replan is not None:
+        payload["consensus_iterations"] = replan.iterations
+        payload["converged"] = replan.converged
     if not accepted:
         payload["settled_plan"] = _plan_list(status_quo.retailer_plan)
         payload["settled_transfer_supplier"] = 0.0
@@ -211,6 +214,9 @@ def _run_vcg(scenario, status_quo, plan):
         f"budget, fee-free        : ${diagnosis.total:,.2f} ({diagnosis.regime})",
         f"supplier accepts        : {'yes' if accepted else 'no (reverts to status quo)'}",
     ]
+    if replan is not None and not replan.converged:
+        rendered.append(f"fee-biased re-plan      : did not converge in {replan.iterations}"
+                        " iterations; the settled plan is not the fee-biased optimum")
     return payload, rendered
 
 

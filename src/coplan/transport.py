@@ -82,7 +82,9 @@ def _northwest_corner(supply, demand):
         d[j] -= q
         if i == m - 1 and j == n - 1:
             break
-        if s[i] <= d[j] and i < m - 1:
+        # rounding can leave a sliver of supply once the last column is
+        # full; it moves on down that column instead of past its end
+        if i < m - 1 and (s[i] <= d[j] or j == n - 1):
             i += 1
         else:
             j += 1

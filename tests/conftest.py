@@ -201,9 +201,13 @@ class SupplierValueOracle:
 # ---------------------------------------------------------------------------
 # Centralized joint-LP oracle (scipy HiGHS) for the socially efficient plan.
 
-def solve_joint_lp(retailer, supplier, order_cap=True):
-    """Maximize u_A(x) + u_S(x) over x >= 0 (with the no-overbuy cap) by one
-    LP over (x, retailer flows, lost sales, supplier flows).
+def solve_joint_lp(retailer, supplier, order_cap=True, scale=1.0, reference=None,
+                   over_rate=0.0, under_rate=0.0):
+    """Maximize scale * u_A(x) + u_S(x) over x >= 0 (with the no-overbuy cap)
+    by one LP over (x, retailer flows, lost sales, supplier flows).  With a
+    ``reference`` plan the objective also pays ``over_rate`` per unit of x
+    above it and ``under_rate`` per unit below it, through one pair of
+    deviation variables per node.
 
     Returns (x_star, joint_value).
     """
@@ -211,12 +215,16 @@ def solve_joint_lp(retailer, supplier, order_cap=True):
     J = retailer.demand.size
     K = supplier.capacities.size
     nx, nva, nsa, nvs = I, I * J, J, K * I
-    n = nx + nva + nsa + nvs
+    nd = 0 if reference is None else 2 * I
+    n = nx + nva + nsa + nvs + nd
     c = np.zeros(n)
     c[:nx] = -supplier.gross_profit
-    c[nx:nx + nva] = retailer.arc_costs.reshape(-1)
-    c[nx + nva:nx + nva + nsa] = retailer.lost_sales_penalty
-    c[nx + nva + nsa:] = supplier.arc_costs.reshape(-1)
+    c[nx:nx + nva] = scale * retailer.arc_costs.reshape(-1)
+    c[nx + nva:nx + nva + nsa] = scale * retailer.lost_sales_penalty
+    c[nx + nva + nsa:nx + nva + nsa + nvs] = supplier.arc_costs.reshape(-1)
+    if nd:
+        c[n - nd:n - I] = over_rate
+        c[n - I:] = under_rate
 
     A = []
     b = []
@@ -250,12 +258,23 @@ def solve_joint_lp(retailer, supplier, order_cap=True):
         row[:nx] = 1.0
         A.append(row)
         b.append(retailer.demand.sum())
+    for i in range(nd // 2):  # over_i >= x_i - ref_i, under_i >= ref_i - x_i
+        row = np.zeros(n)
+        row[i] = 1.0
+        row[n - nd + i] = -1.0
+        A.append(row)
+        b.append(reference[i])
+        row = np.zeros(n)
+        row[i] = -1.0
+        row[n - I + i] = -1.0
+        A.append(row)
+        b.append(-reference[i])
 
     res = linprog(c, A_ub=np.asarray(A), b_ub=np.asarray(b), bounds=(0, None),
                   method="highs")
     assert res.status == 0, res.message
     x = res.x[:nx].copy()
-    joint = retailer.gross_profit_total - res.fun
+    joint = scale * retailer.gross_profit_total - res.fun
     return x, float(joint)
 
 

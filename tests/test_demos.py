@@ -15,3 +15,15 @@ def test_demo_runs(demo):
     done = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test-only dependency: the package, the CLI and the report
+    # runner must import without it
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    probe = ("import sys, coplan, coplan.cli, coplan.reports; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", probe], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

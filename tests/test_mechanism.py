@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import RetailerValueOracle, SupplierValueOracle, random_bilateral
+from conftest import RetailerValueOracle, SupplierValueOracle, random_bilateral, solve_joint_lp
 from coplan.errors import ParameterError
 from coplan.mechanism import (
     BudgetDiagnosis,
@@ -237,6 +237,41 @@ def test_additive_boost_argmax_invariance_random():
         ja = retailer_utility(retailer, base).value + supplier_utility(supplier, base).value
         jb = retailer_utility(retailer, boosted).value + supplier_utility(supplier, boosted).value
         assert abs(ja - jb) <= 1e-6 * (1 + abs(ja))
+
+
+def test_joint_lp_matches_highs_for_every_fee():
+    # the reported joint objective at efficient_plan's plan against HiGHS on
+    # the same LP, for each fee variant, on pairs short of capacity and covered
+    rng = np.random.default_rng(2027)
+    for t in range(300):
+        retailer, supplier = random_bilateral(rng, cover_demand=bool(t % 2))
+        sq = standalone_plans(retailer, supplier)
+        over = float(rng.uniform(0, 30))
+        fees = (FeePolicy.none(), FeePolicy.additive(float(rng.uniform(0, 50))),
+                FeePolicy.multiplicative(float(rng.uniform(0, 1))),
+                FeePolicy.roi(float(rng.uniform(0, 0.9))),
+                FeePolicy.linear_deviation(over, float(rng.uniform(0, over))))
+        for fee in fees:
+            plan = efficient_plan(retailer, supplier, fee=fee, status_quo=sq)
+            assert plan.sum() <= retailer.demand.sum() + 1e-9
+            scale = fee.report_scale
+            got = (scale * retailer_utility(retailer, plan).value
+                   + supplier_utility(supplier, plan).value)
+            kwargs = {}
+            if fee.variant == "linear_deviation":
+                got -= deviation_penalty(plan, sq.retailer_plan, fee.over_rate, fee.under_rate)
+                kwargs = dict(reference=sq.retailer_plan, over_rate=fee.over_rate,
+                              under_rate=fee.under_rate)
+            _, want = solve_joint_lp(retailer, supplier, scale=scale, **kwargs)
+            assert abs(got - want) <= 1e-9 * max(1.0, abs(want)), (t, fee.variant)
+
+
+def test_joint_lp_without_inbound_nodes_plans_nothing():
+    from coplan.transport import RetailerSpec
+    retailer = RetailerSpec(demand=[10.0], arc_costs=np.zeros((0, 1)), gross_profit=[5.0])
+    supplier = SupplierSpec(capacities=[5.0], arc_costs=np.zeros((1, 0)), gross_profit=[])
+    for fee in (FeePolicy.none(), FeePolicy.linear_deviation(2.0, 1.0)):
+        assert efficient_plan(retailer, supplier, fee=fee).shape == (0,)
 
 
 def test_truthful_reporting_is_dominant_for_the_supplier():

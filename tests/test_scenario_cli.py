@@ -144,6 +144,26 @@ def test_unconverged_consensus_is_flagged(toy):
     assert "converged" not in run(toy, analyses=["firstbest"]).machine["firstbest"]
 
 
+def test_unconverged_fee_replan_is_flagged(toy):
+    from dataclasses import replace
+
+    from coplan.mechanism import FeePolicy
+    biased = replace(toy, mode="cpp", fee=FeePolicy.multiplicative(0.2))
+    vcg = run(biased, analyses=["vcg"]).machine["vcg"]
+    assert vcg["converged"] is True and vcg["consensus_iterations"] > 3
+    short = replace(biased, consensus=replace(toy.consensus, max_iters=3))
+    report = run(short, analyses=["vcg"])
+    vcg = report.machine["vcg"]
+    assert vcg["consensus_iterations"] == 3
+    assert vcg["converged"] is False
+    assert "re-plan      : did not converge in 3 iterations" in report.text
+    # no re-plan, no flag: the additive fee settles the first-best plan, and
+    # the joint LP has no iterations to report
+    assert "converged" not in run(replace(toy, mode="cpp"), analyses=["vcg"]).machine["vcg"]
+    assert "converged" not in run(replace(biased, mode="centralized"),
+                                  analyses=["vcg"]).machine["vcg"]
+
+
 def test_machine_report_is_byte_identical_across_runs(toy):
     a = run(toy, analyses=["jit", "firstbest", "vcg", "menu"]).to_json()
     b = run(toy, analyses=["jit", "firstbest", "vcg", "menu"]).to_json()

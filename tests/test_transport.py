@@ -207,6 +207,28 @@ def test_spec_validation():
         )
 
 
+def test_northwest_corner_places_a_leftover_sliver_of_supply():
+    # the second default menu plan of the 12-region shortage pair stored as
+    # perfbench/faults/northwest-corner-index.json: its thirds leave about
+    # 3e-14 of supply after the last column is full, which once ran the
+    # initial basis off the end of the demand vector (IndexError)
+    supplier = SupplierSpec(
+        capacities=[10.0, 52.0, 4.0, 71.0, 24.0, 192.0, 47.0, 72.0, 21.0, 63.0, 0.0],
+        arc_costs=[[8, 8, 7, 2, 1], [1, 1, 2, 9, 1], [6, 3, 7, 4, 6], [3, 9, 4, 10, 10],
+                   [4, 9, 8, 3, 3], [1, 8, 9, 2, 2], [9, 10, 6, 9, 8], [4, 6, 5, 7, 6],
+                   [8, 9, 4, 1, 10], [5, 1, 2, 8, 8], [10, 1, 5, 8, 9]],
+        gross_profit=[26.0, 24.0, 16.0, 30.0, 27.0],
+    )
+    plan = [float.fromhex(h) for h in (
+        "0x1.2a00000000000p+7", "0x1.1d55555555555p+6", "0x1.1555555555556p+2",
+        "0x1.7600000000000p+7", "0x1.1caaaaaaaaaaap+7")]
+    ev = supplier_utility(supplier, plan)
+    # HiGHS: transport cost 1460.333..., utility 13648
+    assert ev.value == pytest.approx(13648.0, abs=1e-9)
+    assert ev.transport.dual_objective == pytest.approx(ev.transport.objective, abs=1e-9)
+    assert np.allclose(ev.transport.flow.sum(axis=0), plan, atol=1e-9)
+
+
 def test_objective_matches_scipy_on_larger_instances():
     from scipy.optimize import linprog
 
@@ -287,14 +309,8 @@ def _bits(sol):
 
 
 def _outcome(case):
-    # one instance in thirds hits the known IndexError of _northwest_corner
-    # (leftover supply from rounding); its outcome is pinned like the rest
-    try:
-        sol = solve_transport(case["costs"], case["row_bounds"], case["col_requirements"],
-                              slack_penalty=case["slack_penalty"])
-    except IndexError as exc:
-        return {"error": type(exc).__name__}
-    return _bits(sol)
+    return _bits(solve_transport(case["costs"], case["row_bounds"], case["col_requirements"],
+                                 slack_penalty=case["slack_penalty"]))
 
 
 def test_degenerate_instances_keep_their_bits():

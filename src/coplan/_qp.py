@@ -3,19 +3,29 @@
     maximize   min_k ( offsets[k] + grads[k] @ x )  -  (rho/2) ||x - center||^2
     subject to x >= 0,  sum(x) <= total_cap (optional)
 
-Solved by a primal active-set method on the epigraph form.  Problems here are
-tiny (a handful of coordinates, tens of cuts), so dense linear algebra with
-deterministic tie-breaking is both fast and reproducible.
+Solved through its dual by an active-set method on the multipliers (Kiwiel,
+"A method for solving certain quadratic programming problems arising in
+nonsmooth optimization", IMA J. Numer. Anal. 1986; compare Lawson & Hanson's
+NNLS).  With weights lam >= 0 on the cuts summing to one, mu >= 0 on the
+bounds x >= 0, nu >= 0 on the cap and w = grads.T @ lam + mu - nu:
+
+    minimize   lam @ offsets + nu * total_cap + center @ w + ||w||^2 / (2 rho)
+
+and x = center + w / rho.  The dual's gradient is the cut values at x, x
+itself and total_cap - sum(x), so the dual optimum is primal feasibility plus
+complementarity.  Every dual-feasible point bounds the model's maximum from
+above, so the value returned is a sound bound however the loop ends.
+Problems here are small (a handful of coordinates; tens of cuts, or up to a
+few thousand affine pieces of a rolling-horizon utility), so dense linear
+algebra with deterministic tie-breaking is both fast and reproducible.
 """
 
 import numpy as np
 
-_FEAS_TOL = 1e-9
-_MULT_TOL = 1e-9
-
-
-class MasterError(ArithmeticError):
-    pass
+# An entry of the dual gradient counts as negative only beyond this multiple
+# of the magnitude of the terms it sums: about 100 times their rounding error,
+# and 100 times below the relative gap at which best responses are certified.
+_ROUND_TOL = 1e-14
 
 
 def project_capped(x, total_cap=None):
@@ -35,17 +45,12 @@ def project_capped(x, total_cap=None):
     return np.maximum(x - tau, 0.0)
 
 
-def _cut_values(offsets, grads, x):
-    return offsets + grads @ x
-
-
 class CutSet:
     """Distinct cuts ``offset + grad @ x``, oldest first.
 
-    The master wants no repeated (offset, grad) row: one makes the
-    working-set KKT systems singular, which the least-squares fallback
-    survives but which invites degenerate add/drop rounds.  Adding a cut
-    identical to one already held does nothing.
+    Each cut is one column of the master's dual, which prices every column
+    on every step: a repeated (offset, grad) row would only add work.
+    Adding a cut identical to one already held does nothing.
     """
 
     def __init__(self, offsets=(), grads=()):
@@ -69,173 +74,103 @@ class CutSet:
 
 
 def maximize_cut_model(offsets, grads, center, rho, total_cap=None):
-    """Return (x, value) for the prox-regularized cut model above.
-
-    Callers pass distinct cuts (see ``CutSet``).
-    """
+    """Return (x, value) for the prox-regularized cut model above; ``value``
+    is the dual objective at the final multipliers, an upper bound on the
+    model's maximum that meets the model value at ``x`` at the optimum."""
     offsets = np.asarray(offsets, dtype=float)
     grads = np.atleast_2d(np.asarray(grads, dtype=float))
     center = np.asarray(center, dtype=float)
     K, n = grads.shape
 
-    x = project_capped(center, total_cap)
-    vals = _cut_values(offsets, grads, x)
-    t = float(vals.min())
+    # Dual columns [B; simplex row] for the K cuts, the n bounds and the cap;
+    # q is the linear cost of each column.
+    m = K + n + (total_cap is not None)
+    A = np.zeros((n + 1, m))
+    A[:n, :K] = grads.T
+    A[:n, K:K + n] = np.eye(n)
+    A[n, :K] = 1.0
+    q = np.zeros(m)
+    q[:K] = offsets
+    if total_cap is not None:
+        A[:n, -1] = -1.0
+        q[-1] = total_cap
+    B, abs_B, abs_q = A[:n], np.abs(A[:n]), np.abs(q)
+    norms = np.sqrt(np.einsum("ij,ij->j", A, A))
 
-    scale = 1.0 + float(np.abs(offsets).max(initial=0.0)) + float(np.abs(x).max(initial=0.0))
-    active_cuts = [int(np.argmin(vals))]
-    active_bounds = [i for i in range(n) if x[i] <= _FEAS_TOL * scale]
-    cap_active = bool(total_cap is not None and total_cap - x.sum() <= _FEAS_TOL * scale)
+    k = int(np.argmin(offsets + grads @ center))
+    free, y = [k], np.ones(1)
+    x = center + grads[k] / rho
+    t = offsets[k] + grads[k] @ x
+    for _ in range(10 * (m + n)):  # insurance: each pass lowers the dual
+        # dual gradient less the simplex multiplier t; zero on the free set
+        r = q + x @ B - t * A[n]
+        r[free] = 0.0
+        score = r / norms
+        j = int(score.argmin())
+        if score[j] >= 0.0:
+            break
+        score[r >= -_ROUND_TOL * (abs_q + np.abs(x) @ abs_B + abs(t) * A[n])] = 0.0
+        j = int(score.argmin())
+        if score[j] >= 0.0:
+            break
+        step = _free_optimum(A, q, center, rho, free + [j]) if len(free) <= n else None
+        if step is not None and step[1][-1] > 0.0:
+            free.append(j)
+            y = np.concatenate((y, (0.0,)))
+        else:
+            # Column j depends (at least numerically) on the free columns:
+            # the dual is linear along d = (d_free, 1) with A[:, free] @
+            # d_free = -A[:, j], and falls at rate r[j].  Go until a free
+            # variable hits zero (a component of d below rounding blocks
+            # nothing), then let j take its place.
+            d = np.linalg.lstsq(A[:, free], -A[:, j], rcond=None)[0]
+            blocking = d < -1e-12 * np.abs(d).max()
+            if not blocking.any():
+                break
+            ratios = np.where(blocking, y / np.where(blocking, -d, 1.0), np.inf)
+            i = int(ratios.argmin())
+            y = np.append(np.delete(np.maximum(y + ratios[i] * d, 0.0), i), ratios[i])
+            free = free[:i] + free[i + 1:] + [j]
+            step = _free_optimum(A, q, center, rho, free)
+        # Move to the free set's optimum, freeing up each variable it would
+        # push below zero on the way.
+        while step is not None and step[1].min() < 0.0:
+            p = step[1] - y
+            ratios = np.where(step[1] < 0.0, y / np.where(step[1] < 0.0, -p, 1.0), np.inf)
+            i = int(ratios.argmin())
+            y = np.delete(np.maximum(y + ratios[i] * p, 0.0), i)
+            del free[i]
+            step = _free_optimum(A, q, center, rho, free)
+        if step is None:
+            break
+        x, y, t = step
 
-    stalled = 0  # consecutive iterations without a real move
-    for _ in range(60 * (K + n + 2)):
-        xhat, that, eta, lam, nu = _solve_eqp(
-            offsets, grads, center, rho, active_cuts, active_bounds, cap_active, total_cap
-        )
-        dx = xhat - x
-        dt = that - t
-        if np.abs(dx).max(initial=0.0) <= _FEAS_TOL * scale and abs(dt) <= _FEAS_TOL * scale:
-            # Stationary for the working set: check multiplier signs.  After
-            # repeated zero-progress rounds switch to Bland's lowest-index
-            # drop rule to break degenerate add/drop cycles.
-            drop = _pick_drop(eta, lam, nu, active_cuts, active_bounds, cap_active,
-                              bland=stalled >= 4)
-            if drop is None:
-                value = float(_cut_values(offsets, grads, x).min()
-                              - 0.5 * rho * np.sum((x - center) ** 2))
-                return x, value
-            kind, idx = drop
-            if kind == "cut":
-                active_cuts.remove(idx)
-            elif kind == "bound":
-                active_bounds.remove(idx)
-            else:
-                cap_active = False
-            stalled += 1
-            continue
-
-        alpha, blocker = _max_step(
-            offsets, grads, x, t, dx, dt, active_cuts, active_bounds, cap_active, total_cap
-        )
-        stalled = stalled + 1 if alpha <= 1e-13 else 0
-        x = x + alpha * dx
-        t = t + alpha * dt
-        if blocker is not None:
-            kind, idx = blocker
-            if kind == "cut":
-                active_cuts.append(idx)
-            elif kind == "bound":
-                active_bounds.append(idx)
-                x[idx] = 0.0
-            else:
-                cap_active = True
-    raise MasterError("active-set master exceeded its iteration budget")
+    w = B[:, free] @ y
+    value = float(q[free] @ y + center @ w + w @ w / (2.0 * rho))
+    # x is primal feasible up to rounding; make it exactly so on the bounds
+    x = np.maximum(center + w / rho, 0.0)
+    x[[i - K for i in free if K <= i < K + n]] = 0.0
+    return x, value
 
 
-def _solve_eqp(offsets, grads, center, rho, active_cuts, active_bounds, cap_active, total_cap):
-    """Equality-constrained subproblem for the current working set."""
+def _free_optimum(A, q, center, rho, free):
+    """(x, y, t) minimizing the dual over the free columns, the rest at zero,
+    with t the multiplier of the simplex row; None if the columns are
+    dependent."""
     n = center.size
-    free = [i for i in range(n) if i not in active_bounds]
-    nf, na = len(free), len(active_cuts)
-    size = nf + 1 + na + (1 if cap_active else 0)
-    M = np.zeros((size, size))
-    b = np.zeros(size)
-    G = grads[active_cuts]
-
-    # rows 0..nf-1: stationarity on free coordinates
-    for r, i in enumerate(free):
-        M[r, r] = rho
-        for c in range(na):
-            M[r, nf + 1 + c] = -G[c, i]
-        if cap_active:
-            M[r, -1] = 1.0
-        b[r] = rho * center[i]
-    # rows nf..nf+na-1: active cuts hold with equality
-    for c, k in enumerate(active_cuts):
-        M[nf + c, nf] = 1.0
-        for r, i in enumerate(free):
-            M[nf + c, r] = -grads[k, i]
-        b[nf + c] = offsets[k]
-    # row nf+na: cut multipliers sum to one
-    M[nf + na, nf + 1:nf + 1 + na] = 1.0
-    b[nf + na] = 1.0
-    # optional cap row
-    if cap_active:
-        M[-1, :nf] = 1.0
-        b[-1] = total_cap
-
+    cols = A[:, free]
+    Bf = cols[:n]
+    f = len(free)
+    M = np.empty((f + 1, f + 1))
+    M[:f, :f] = Bf.T @ Bf / rho
+    M[:f, f] = M[f, :f] = cols[n]
+    M[f, f] = 0.0
+    rhs = np.empty(f + 1)
+    rhs[:f] = -q[free] - center @ Bf
+    rhs[f] = 1.0
     try:
-        sol = np.linalg.solve(M, b)
+        sol = np.linalg.solve(M, rhs)
     except np.linalg.LinAlgError:
-        sol, *_ = np.linalg.lstsq(M, b, rcond=None)
-
-    xhat = np.zeros(n)
-    xhat[free] = sol[:nf]
-    that = float(sol[nf])
-    eta = sol[nf + 1:nf + 1 + na]
-    nu = float(sol[-1]) if cap_active else 0.0
-    # bound multipliers from stationarity on the pinned coordinates
-    lam = {}
-    geta = eta @ G if na else np.zeros(n)
-    for i in active_bounds:
-        lam[i] = -rho * center[i] - geta[i] + (nu if cap_active else 0.0)
-    return xhat, that, eta, lam, nu
-
-
-def _pick_drop(eta, lam, nu, active_cuts, active_bounds, cap_active, bland=False):
-    if bland:
-        # lowest-index violated constraint, cuts first: anti-cycling order
-        for c, k in sorted(enumerate(active_cuts), key=lambda ck: ck[1]):
-            if len(active_cuts) > 1 and eta[c] < -_MULT_TOL:
-                return ("cut", k)
-        for i in sorted(active_bounds):
-            if lam[i] < -_MULT_TOL:
-                return ("bound", i)
-        if cap_active and nu < -_MULT_TOL:
-            return ("cap", None)
         return None
-    worst = None
-    worst_val = -_MULT_TOL
-    for c, k in enumerate(active_cuts):
-        if len(active_cuts) > 1 and eta[c] < worst_val:
-            worst_val = eta[c]
-            worst = ("cut", k)
-    for i in active_bounds:
-        if lam[i] < worst_val:
-            worst_val = lam[i]
-            worst = ("bound", i)
-    if cap_active and nu < worst_val:
-        worst = ("cap", None)
-    return worst
-
-
-def _max_step(offsets, grads, x, t, dx, dt, active_cuts, active_bounds, cap_active, total_cap):
-    alpha = 1.0
-    blocker = None
-    K = offsets.size
-    cut_rate = dt - grads @ dx
-    cut_slack = offsets + grads @ x - t
-    for k in range(K):
-        if k in active_cuts:
-            continue
-        if cut_rate[k] > _FEAS_TOL:
-            a = max(cut_slack[k], 0.0) / cut_rate[k]
-            if a < alpha - 1e-15:
-                alpha = a
-                blocker = ("cut", k)
-    for i in range(x.size):
-        if i in active_bounds:
-            continue
-        if dx[i] < -_FEAS_TOL:
-            a = max(x[i], 0.0) / (-dx[i])
-            if a < alpha - 1e-15:
-                alpha = a
-                blocker = ("bound", i)
-    if total_cap is not None and not cap_active:
-        rate = dx.sum()
-        if rate > _FEAS_TOL:
-            a = max(total_cap - x.sum(), 0.0) / rate
-            if a < alpha - 1e-15:
-                alpha = a
-                blocker = ("cap", None)
-    return max(alpha, 0.0), blocker
+    y = sol[:f]
+    return center + Bf @ y / rho, y, -sol[f]

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._qp import CutSet, MasterError, maximize_cut_model, project_capped
+from ._qp import CutSet, maximize_cut_model, project_capped
 from .errors import DimensionError, NonConvergenceError, ParameterError
 from .transport import retailer_utility, supplier_utility
 
@@ -91,9 +91,11 @@ def best_response(agent, prices, z, rho, start=None):
 
     Supergradient cuts overestimate the utility, so the master value is a
     certified upper bound; the loop stops once the bound meets the best
-    evaluated point within ``_BR_GAP_TOL`` (relative).  Piecewise-linear utilities
-    terminate finitely.  Agents with special structure may expose an exact
-    ``prox_respond``, which takes precedence over the cutting-plane loop.
+    evaluated point within ``_BR_GAP_TOL`` relative to the objective and the
+    utility, whose size sets the bound's rounding error even when the
+    objective is near zero.  Piecewise-linear utilities terminate finitely.
+    Agents with special structure may expose an exact ``prox_respond``, which
+    takes precedence over the cutting-plane loop.
     """
     prices = np.asarray(prices, dtype=float)
     z = np.asarray(z, dtype=float)
@@ -105,20 +107,19 @@ def best_response(agent, prices, z, rho, start=None):
         raise ParameterError("penalty rho must be positive")
     prox = getattr(agent, "prox_respond", None)
     if prox is not None:
-        try:
-            plan = prox(prices, z, rho)
-        except MasterError as exc:
-            raise NonConvergenceError(f"best-response master failed: {exc}") from exc
+        plan = prox(prices, z, rho)
         value = float(agent.evaluate(plan)[0])
         objective = value - prices @ plan - 0.5 * rho * float(np.sum((plan - z) ** 2))
         return BestResponse(plan=plan, objective=objective, gap=0.0, evaluations=1)
 
     center = z - prices / rho
-    shift = 0.5 * rho * float(center @ center - z @ z)
+    # (rho/2)(center @ center - z @ z), without the cancellation of its two terms
+    shift = float(prices @ prices) / (2.0 * rho) - float(prices @ z)
     x = agent.project(center if start is None else np.asarray(start, dtype=float))
 
     cuts = CutSet()
     best_val = -np.inf
+    size = 0.0  # largest |u(x)| evaluated so far
     best_x = x
     for k in range(_BR_MAX_EVALS):
         value, grad = agent.evaluate(x)
@@ -126,20 +127,17 @@ def best_response(agent, prices, z, rho, start=None):
         if objective > best_val:
             best_val = objective
             best_x = x
+        size = max(size, abs(value))
         cuts.add(value - float(grad @ x), grad)
         if len(cuts) > 48:
             # drop the stalest cuts; fewer constraints only raise the model,
             # so the certified upper bound stays valid
             cuts.keep_last(32)
-        try:
-            xm, model_val = maximize_cut_model(
-                *cuts.arrays(), center, rho, total_cap=agent.total_cap
-            )
-        except MasterError as exc:  # pragma: no cover - defensive
-            raise NonConvergenceError(f"best-response master failed: {exc}") from exc
+        xm, model_val = maximize_cut_model(*cuts.arrays(), center, rho,
+                                           total_cap=agent.total_cap)
         upper = model_val + shift
         gap = upper - best_val
-        if gap <= _BR_GAP_TOL * (1.0 + abs(best_val)):
+        if gap <= _BR_GAP_TOL * (1.0 + abs(best_val) + size):
             return BestResponse(plan=best_x, objective=best_val, gap=max(gap, 0.0),
                                 evaluations=k + 1)
         x = xm

@@ -32,9 +32,9 @@ MODES = ("none", "full-horizon")
 # free weeks up to which the retailer's prox is solved exactly on its
 # 2**weeks affine pieces; wider windows keep the cutting-plane best response.
 # Timed on one coordinated week of random windows, the exact prox is faster
-# through 8 free weeks (0.60x the cutting-plane time at 6, 0.93x at 8) and
-# slower from 9 (1.5x at 9, 3.0x at 10), where the pieces double per week.
-_EXACT_PROX_MAX_WEEKS = 8
+# through 12 free weeks (0.41x the cutting-plane time at 6, 0.46x at 10,
+# 0.84x at 12) and slower from 13 (1.6x), where the pieces double per week.
+_EXACT_PROX_MAX_WEEKS = 12
 
 
 @dataclass(frozen=True)
@@ -264,8 +264,8 @@ class DynamicRetailerAgent(_WindowAgent):
     """Retailer flow utility over the free weeks, capped at the window's
     uncovered forecast total (stock beyond demand has no retail value).
 
-    Up to 8 free weeks (``_EXACT_PROX_MAX_WEEKS``) the proximal best response
-    is exact: one cut-model master call on the utility's 256 or fewer affine
+    Up to 12 free weeks (``_EXACT_PROX_MAX_WEEKS``) the proximal best response
+    is exact: one cut-model master call on the utility's 4096 or fewer affine
     pieces, built on the first call.  Wider windows have no ``prox_respond``
     and go through the cutting-plane best response.
     """

@@ -32,8 +32,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .consensus import LocalEndpoint
-from .errors import (AgentTimeoutError, InfeasibleError, ParameterError, ParseError,
-                     ProtocolError)
+from .errors import (AgentTimeoutError, CoplanError, InfeasibleError, ParameterError,
+                     ParseError, ProtocolError)
 
 DEFAULT_TIMEOUT = 30.0
 LISTEN_ENV_VAR = "COPLAN_LISTEN"
@@ -297,8 +297,12 @@ class AgentServer:
                 channel.send(Message("error", session, payload={"reason": "dimension-mismatch"}))
                 return
             if msg.kind == "query":
-                plan = endpoint.respond(msg.payload["prices"], msg.payload["z"], rho,
-                                        msg.iteration)
+                try:
+                    plan = endpoint.respond(msg.payload["prices"], msg.payload["z"], rho,
+                                            msg.iteration)
+                except CoplanError as exc:  # e.g. a best response that did not converge
+                    channel.send(Message("error", session, payload={"reason": str(exc)}))
+                    return
                 channel.send(Message("response", session, iteration=msg.iteration,
                                      payload={"dim": dim, "plan": plan}))
             elif msg.kind == "offer":

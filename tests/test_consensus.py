@@ -22,6 +22,7 @@ from coplan.consensus import (
     run_consensus,
 )
 from coplan.errors import DimensionError, NonConvergenceError
+from coplan.mechanism import standalone_plans
 from coplan.transport import retailer_utility, supplier_utility
 
 
@@ -183,6 +184,48 @@ def test_random_bilateral_matches_centralized_lp():
         plan = sa.project(ra.project(res.plan))
         joint = retailer_utility(retailer, plan).value + supplier_utility(supplier, plan).value
         assert abs(joint - joint_lp) <= 1e-3 * max(1.0, abs(joint_lp))
+
+
+def test_best_response_gap_scales_with_the_utility():
+    # regression, the eighth pair: a supplier utility near 3e3 with its
+    # proximal objective near 0; a gap bound relative to the objective alone
+    # sat below float resolution, and one best response never certified
+    rng = np.random.default_rng(1)
+    for _ in range(8):
+        retailer, supplier = random_bilateral(rng, max_nodes=3, cover_demand=True)
+    cfg = ConsensusConfig(rho=1.0, eps_abs=1e-6, eps_rel=1e-6,
+                          initial_plan=standalone_plans(retailer, supplier).retailer_plan)
+    res = run_consensus([RetailerAgent(retailer), SupplierAgent(supplier)], cfg)
+    assert res.converged
+    _, joint_lp = solve_joint_lp(retailer, supplier)
+    assert abs(res.joint_utility - joint_lp) <= 1e-3 * max(1.0, abs(joint_lp))
+
+
+class MinOfLines(consensus.PlanAgent):
+    """Concave piecewise-linear utility ``min_k(a[k] + G[k] @ x)``."""
+
+    def __init__(self, a, G):
+        self.a, self.G, self.dim = a, G, G.shape[1]
+
+    def evaluate(self, plan):
+        k = int(np.argmin(self.a + self.G @ plan))
+        return float(self.a[k] + self.G[k] @ plan), self.G[k].copy()
+
+
+def test_best_response_certifies_a_large_utility_at_a_near_zero_objective():
+    # the prices cancel the utility at the proposal and a stiff penalty keeps
+    # the answer near it, so the objective is near 0 while u(x) and prices @ x
+    # reach ~1e4 and rho * ||z||^2 ~1e7
+    rng = np.random.default_rng(0)
+    for _ in range(100):
+        n, K = int(rng.integers(1, 4)), int(rng.integers(2, 6))
+        agent = MinOfLines(rng.integers(-3000, 3000, size=K).astype(float),
+                           rng.integers(-30, 31, size=(K, n)).astype(float))
+        z = rng.integers(1, 100, size=n).astype(float)
+        prices = agent.evaluate(z)[0] / float(z @ z) * z
+        br = best_response(agent, prices, z, 1000.0)
+        assert br.evaluations <= 10
+        assert br.gap <= 1e-12 * (1.0 + abs(br.objective) + abs(agent.evaluate(br.plan)[0]))
 
 
 def test_residual_trend_is_nonincreasing(toy_retailer, toy_supplier):

@@ -417,14 +417,15 @@ def test_exact_retailer_prox_matches_cutting_plane():
 
 
 def test_wide_windows_keep_the_cutting_plane_response():
-    model = InventoryModel(forecasts=[9.0, 4.0, 11.0, 6.0, 13.0, 7.0, 5.0, 12.0, 8.0, 10.0],
-                           horizon=9, smoothing_cost=0.8, supplier_margin=2.5)
+    model = InventoryModel(forecasts=[9.0, 4.0, 11.0, 6.0, 13.0, 7.0, 5.0, 12.0, 8.0, 10.0,
+                                      6.0, 11.0, 7.0, 9.0],
+                           horizon=13, smoothing_cost=0.8, supplier_margin=2.5)
     state = model.initial_state()
-    assert DynamicRetailerAgent(model, state).prox_respond is None      # 9 free weeks
+    assert DynamicRetailerAgent(model, state).prox_respond is None      # 13 free weeks
     assert DynamicRetailerAgent(model, state, prefix=[9.0]).prox_respond is not None
-    demand = np.array([8.0, 6.0, 12.0, 5.0, 14.0, 6.0, 4.0, 13.0, 9.0, 9.0])
+    demand = np.array([8.0, 6.0, 12.0, 5.0, 14.0, 6.0, 4.0, 13.0, 9.0, 9.0, 7.0, 10.0, 6.0, 8.0])
     records, final = simulate(model, demand, mode="none")
-    assert len(records) == 10
+    assert len(records) == 14
     assert final.cumulative_cbt == pytest.approx(sum(r.cbt for r in records))
     for rec in records:
         assert rec.cbt >= -1e-6

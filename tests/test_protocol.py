@@ -13,7 +13,8 @@ from coplan.consensus import (
     run_consensus,
 )
 from coplan import protocol
-from coplan.errors import AgentTimeoutError, ParameterError, ParseError, ProtocolError
+from coplan.errors import (AgentTimeoutError, NonConvergenceError, ParameterError, ParseError,
+                           ProtocolError)
 from coplan.protocol import (
     MAX_LINE_BYTES,
     AgentServer,
@@ -254,6 +255,35 @@ def test_offer_beyond_capacity_is_declined(toy_supplier):
         assert remote.offer([10.0, 90.0], 0.0) is True     # the session lives on
     finally:
         remote.close()
+        server.stop()
+
+
+class StallingSupplier(SupplierAgent):
+    """Supplier whose utility oracle gives up while ``stall`` is set."""
+
+    stall = True
+
+    def evaluate(self, plan):
+        if self.stall:
+            raise NonConvergenceError("utility oracle did not converge")
+        return super().evaluate(plan)
+
+
+def test_failed_query_gets_error_and_server_lives_on(toy_supplier):
+    agent = StallingSupplier(toy_supplier)
+    server = AgentServer(agent).start()
+    try:
+        remote = RemoteAgent(server.address, dim=2, rho=1.0)
+        with pytest.raises(ProtocolError, match="did not converge"):
+            remote.respond(np.zeros(2), np.array([10.0, 90.0]), 1.0, 1)
+        remote.close()
+        agent.stall = False
+        remote = RemoteAgent(server.address, dim=2, rho=1.0)
+        got = remote.respond(np.zeros(2), np.array([10.0, 90.0]), 1.0, 1)
+        remote.close()
+        want = best_response(SupplierAgent(toy_supplier), np.zeros(2), np.array([10.0, 90.0]), 1.0)
+        assert np.array_equal(got, want.plan)
+    finally:
         server.stop()
 
 

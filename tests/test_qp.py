@@ -9,6 +9,34 @@ def model_value(offsets, grads, center, rho, x):
     return float(np.min(offsets + grads @ x) - 0.5 * rho * np.sum((x - center) ** 2))
 
 
+def assert_certified(offsets, grads, center, rho, cap, x, val):
+    """x is feasible and ``val`` is its dual certificate: an upper bound on
+    the model's maximum that meets the model value at x up to rounding."""
+    assert np.all(x >= 0.0)
+    if cap is not None:
+        assert x.sum() <= cap + 1e-7
+    scale = 1.0 + np.abs(offsets).max() + np.abs(grads @ x).max()
+    gap = val - model_value(offsets, grads, center, rho, x)
+    assert -1e-12 * scale <= gap <= 1e-9 * scale
+
+
+def slsqp_best(offsets, grads, center, rho, cap, rng, starts=4):
+    """Best of a few SLSQP runs on the model from perturbed feasible starts."""
+    n = center.size
+
+    def neg(xt):
+        return -model_value(offsets, grads, center, rho, xt)
+
+    cons = [] if cap is None else [{"type": "ineq", "fun": lambda xt: cap - xt.sum()}]
+    best = -np.inf
+    for _ in range(starts):
+        x0 = project_capped(center + rng.normal(scale=3.0, size=n), cap)
+        res = minimize(neg, x0, bounds=[(0, None)] * n, constraints=cons, method="SLSQP",
+                       options={"maxiter": 300, "ftol": 1e-12})
+        best = max(best, -res.fun)
+    return best
+
+
 def test_single_cut_closed_form():
     offsets = np.array([3.0])
     grads = np.array([[2.0, -1.0]])
@@ -69,20 +97,35 @@ def test_matches_slsqp_in_higher_dims():
         rho = float(rng.choice([0.5, 1.0, 2.0]))
         cap = float(rng.uniform(10, 60)) if rng.random() < 0.5 else None
         x, val = maximize_cut_model(offsets, grads, center, rho, total_cap=cap)
-
-        def neg(xt):
-            return -(np.min(offsets + grads @ xt) - 0.5 * rho * np.sum((xt - center) ** 2))
-
-        cons = []
-        if cap is not None:
-            cons.append({"type": "ineq", "fun": lambda xt: cap - xt.sum()})
-        best = -np.inf
-        for trial in range(4):
-            x0 = project_capped(center + rng.normal(scale=3.0, size=n), cap)
-            res = minimize(neg, x0, bounds=[(0, None)] * n, constraints=cons, method="SLSQP",
-                           options={"maxiter": 300, "ftol": 1e-12})
-            best = max(best, -res.fun)
+        assert_certified(offsets, grads, center, rho, cap, x, val)
+        best = slsqp_best(offsets, grads, center, rho, cap, rng)
         assert val >= best - 1e-5 * (1 + abs(best))
+
+
+# Consensus calls on which a primal active-set master cycled until its
+# iteration budget ran out: a steep lost-sales cut beside a flat one under a
+# binding cap, and a call of a 10-node run (size sweep, draw 10).
+CAPTURED_CALLS = [
+    ([-32010.000000000004, 659.9999999999997],
+     [[991.0, 990.0, 996.0], [1.0, -0.0, 6.0]],
+     [30.44140625000026, 14.749999999999972, 30.44140625000004], 33.0),
+    ([-498417.99999999994, 10268.0, 10510.0],
+     [[994.0, 996.0, 993.0, 994.0, 995.0, 997.0, 994.0, 994.0, 994.0, 994.0],
+      [1.0, -0.0, -0.0, 1.0, 2.0, 4.0, 1.0, 1.0, 1.0, 1.0],
+      [-0.0, 2.0, -0.0, -0.0, 1.0, 3.0, -0.0, -0.0, -0.0, -0.0]],
+     [44.78040816327277, 109.1113911328437, 15.953670634920687, 81.28040816327197,
+      120.97990551775037, 16.728873771710916, 213.7804081632719, 50.079349962216696,
+      9.951851851851673, 15.953670634922506], 512.0),
+]
+
+
+@pytest.mark.parametrize("offsets, grads, center, cap", CAPTURED_CALLS)
+def test_badly_scaled_consensus_calls(offsets, grads, center, cap):
+    offsets, grads, center = np.array(offsets), np.array(grads), np.array(center)
+    x, val = maximize_cut_model(offsets, grads, center, 1.0, total_cap=cap)
+    assert_certified(offsets, grads, center, 1.0, cap, x, val)
+    best = slsqp_best(offsets, grads, center, 1.0, cap, np.random.default_rng(4))
+    assert val >= best - 1e-7 * (1 + abs(best))
 
 
 def test_duplicate_cuts_are_harmless():
@@ -127,24 +170,44 @@ def test_degenerate_duplicate_cut_instance_terminates():
     assert x.sum() <= cap + 1e-7
 
 
+def random_instance(rng):
+    n = int(rng.integers(1, 7))
+    K = int(rng.integers(1, 14))
+    scale = float(rng.choice([1.0, 1000.0]))
+    offsets = rng.normal(scale=scale, size=K)
+    grads = rng.normal(scale=scale / 2, size=(K, n))
+    if K > 1 and rng.random() < 0.4:
+        grads[1] = grads[0]
+        offsets[1] = offsets[0]
+    center = rng.uniform(-10, 50, size=n)
+    cap = float(rng.uniform(1, 80)) if rng.random() < 0.5 else None
+    return offsets, grads, center, float(rng.choice([0.2, 5.0])), cap
+
+
+def nearly_parallel_instance(rng):
+    """A retailer's bundle at 10 nodes: steep lost-sales cuts (offsets near
+    -5.9e5, slopes near 1e3 that differ by at most 5 per coordinate) beside a
+    few flat ones, at rho down to 1/256."""
+    n = int(rng.integers(2, 11))
+    steep, flat = int(rng.integers(1, 6)), int(rng.integers(0, 3))
+    base = rng.integers(990, 999, size=n)
+    grads = np.vstack([base + rng.integers(0, 6, size=(steep, n)),
+                       rng.integers(0, 8, size=(flat, n))]).astype(float)
+    offsets = np.concatenate([-5.9e5 + rng.integers(-1000, 1000, size=steep),
+                              rng.integers(5000, 15000, size=flat)]).astype(float)
+    center = rng.uniform(0.0, 250.0, size=n)
+    rho = float(rng.choice([1 / 256, 1 / 16, 0.25, 1.0, 4.0]))
+    cap = float(rng.integers(100, 600)) if rng.random() < 0.8 else None
+    return offsets, grads, center, rho, cap
+
+
 def test_master_never_stalls_on_adversarial_instances():
-    rng = np.random.default_rng(321)
-    for _ in range(400):
-        n = int(rng.integers(1, 7))
-        K = int(rng.integers(1, 14))
-        scale = float(rng.choice([1.0, 1000.0]))
-        offsets = rng.normal(scale=scale, size=K)
-        grads = rng.normal(scale=scale / 2, size=(K, n))
-        if K > 1 and rng.random() < 0.4:
-            grads[1] = grads[0]
-            offsets[1] = offsets[0]
-        center = rng.uniform(-10, 50, size=n)
-        cap = float(rng.uniform(1, 80)) if rng.random() < 0.5 else None
-        x, _ = maximize_cut_model(offsets, grads, center,
-                                  rho=float(rng.choice([0.2, 5.0])), total_cap=cap)
-        assert np.all(x >= -1e-8)
-        if cap is not None:
-            assert x.sum() <= cap + 1e-7
+    for draw, seed in ((random_instance, 321), (nearly_parallel_instance, 11)):
+        rng = np.random.default_rng(seed)
+        for _ in range(400):
+            offsets, grads, center, rho, cap = draw(rng)
+            x, val = maximize_cut_model(offsets, grads, center, rho, total_cap=cap)
+            assert_certified(offsets, grads, center, rho, cap, x, val)
 
 
 def test_cut_set_keeps_the_first_of_identical_cuts_in_order():

@@ -7,10 +7,10 @@ externality transfer, applies activity-fee variants, and prices menus of
 contracts that let the supplier pick the efficient plan in dominant
 strategies.
 
-The centralized LP is one call of the transport simplex: a source-to-region
-transportation problem whose cells route through the cheapest inbound node
-(:func:`linprog`), with a lane per inbound node for the linear-deviation
-fee.  The package needs no external LP solver.
+The centralized LP is one transport-simplex solve (:func:`linprog`).  Each
+pricing step also takes the utility evaluations it needs as functions of the
+plan (:func:`price_settlement`, :func:`price_menu`, :func:`choose_option`),
+so a caller holding them, as a report does, solves each plan only once.
 
 Plans here live in X = {x >= 0, sum(x) <= total demand}: ordering more than
 can possibly sell has no retail value, and leaving the total uncapped would
@@ -238,9 +238,7 @@ def linprog(retailer, supplier, fee, reference):
     disposes of units (which would carry unsold units past the cap).  Lanes
     come first so the northwest corner starts on their diagonal.
 
-    The name is kept from the scipy call this replaced: perfbench's tracer
-    wraps ``mechanism.linprog`` by name, so its ``mechanism.lp_calls`` and
-    ``mechanism.lp_ms`` count joint-LP solves.
+    The name is kept from the scipy call it replaced: perfbench wraps it by name.
     """
     I = retailer.n_inbound
     if I == 0:
@@ -314,40 +312,34 @@ def vcg_transfers(retailer, supplier, status_quo, x_star, fee=None):
     """Price the settled plan: the supplier pays the retailer's utility drop
     plus the activity fee, the retailer agent pays the supplier's drop (a
     bookkeeping entry that nets out of the principal-plus-agent position)."""
+    return price_settlement(lambda x: retailer_utility(retailer, x),
+                            lambda x: supplier_utility(supplier, x), status_quo, x_star, fee)
+
+
+def price_settlement(retailer_at, supplier_at, status_quo, x_star, fee=None):
+    """:func:`vcg_transfers` from the evaluations ``retailer_at(x)`` and ``supplier_at(x)``."""
     fee = fee or FeePolicy.none()
-    x_star = as_plan(x_star, retailer.n_inbound)
-    ev_a_star = retailer_utility(retailer, x_star)
-    ev_s_star = supplier_utility(supplier, x_star)
-    u_a_sq = retailer_utility(retailer, status_quo.retailer_plan).value
-    u_s_sq = supplier_utility(supplier, status_quo.supplier_plan).value
+    x_star = as_plan(x_star)
+    ev_a_star, ev_s_star = retailer_at(x_star), supplier_at(x_star)
+    u_a_sq = retailer_at(status_quo.retailer_plan).value
+    u_s_sq = supplier_at(status_quo.supplier_plan).value
 
     drop = u_a_sq - ev_a_star.value
-    fee_term = fee.transfer_term(drop, x_star=x_star,
-                                 standalone_plan=status_quo.retailer_plan)
+    fee_term = fee.transfer_term(drop, x_star=x_star, standalone_plan=status_quo.retailer_plan)
     t_supplier = drop + fee_term
     t_retailer = u_s_sq - ev_s_star.value
     gain = ev_a_star.value + ev_s_star.value - u_a_sq - u_s_sq
     supplier_surplus = ev_s_star.value - t_supplier - u_s_sq
     retailer_surplus = (ev_a_star.value + t_supplier) - u_a_sq
     return SettlementReport(
-        plan=x_star,
-        status_quo=status_quo,
-        fee=fee,
-        retailer_value_plan=ev_a_star.value,
-        supplier_value_plan=ev_s_star.value,
-        retailer_value_standalone=u_a_sq,
-        supplier_value_standalone=u_s_sq,
+        plan=x_star, status_quo=status_quo, fee=fee,
+        retailer_value_plan=ev_a_star.value, supplier_value_plan=ev_s_star.value,
+        retailer_value_standalone=u_a_sq, supplier_value_standalone=u_s_sq,
         retailer_cost_plan=ev_a_star.transport.objective,
         supplier_cost_plan=ev_s_star.transport.objective,
-        transfer_supplier=t_supplier,
-        transfer_retailer=t_retailer,
-        fee_term=fee_term,
-        budget_sum=t_retailer + t_supplier,
-        gain=gain,
-        supplier_surplus=supplier_surplus,
-        retailer_surplus=retailer_surplus,
-        supplier_accepts=supplier_surplus >= -_TOL,
-    )
+        transfer_supplier=t_supplier, transfer_retailer=t_retailer, fee_term=fee_term,
+        budget_sum=t_retailer + t_supplier, gain=gain, supplier_surplus=supplier_surplus,
+        retailer_surplus=retailer_surplus, supplier_accepts=supplier_surplus >= -_TOL)
 
 
 @dataclass(frozen=True)
@@ -363,12 +355,7 @@ def budget_balance_check(report, tol=1e-9):
     if report.fee.variant != "none":
         raise ParameterError("budget diagnosis applies to the fee-free mechanism")
     total = report.budget_sum
-    if total < -tol:
-        regime = "deficit"
-    elif total > tol:
-        regime = "surplus"
-    else:
-        regime = "balanced"
+    regime = "deficit" if total < -tol else "surplus" if total > tol else "balanced"
     return BudgetDiagnosis(total=total, regime=regime)
 
 
@@ -383,11 +370,16 @@ class MenuOffer:
 
 
 def build_menu(retailer, status_quo, plans, alpha=0.0):
+    return price_menu(lambda x: retailer_utility(retailer, x), status_quo, plans, alpha)
+
+
+def price_menu(retailer_at, status_quo, plans, alpha=0.0):
+    """:func:`build_menu` from the retailer's evaluation ``retailer_at(x)``."""
     if not plans:
         raise ParameterError("menu needs at least one plan")
-    u_a_sq = retailer_utility(retailer, status_quo.retailer_plan).value
-    priced = [as_plan(plan, retailer.n_inbound) for plan in plans]
-    fees = [u_a_sq - retailer_utility(retailer, p).value + alpha for p in priced]
+    u_a_sq = retailer_at(status_quo.retailer_plan).value
+    priced = [as_plan(plan) for plan in plans]
+    fees = [u_a_sq - retailer_at(p).value + alpha for p in priced]
     return MenuOffer(plans=tuple(priced), fees=tuple(fees), alpha=float(alpha))
 
 
@@ -416,10 +408,15 @@ def supplier_choose(supplier, menu, reservation=-np.inf):
     """Dominant-strategy choice from a priced menu: the option maximizing the
     supplier's utility net of its fee, ties to the lowest index; declined when
     even the best option pays less than the reservation value."""
+    return choose_option(lambda x: supplier_utility(supplier, x), menu, reservation)
+
+
+def choose_option(supplier_at, menu, reservation=-np.inf):
+    """:func:`supplier_choose` from the supplier's evaluation ``supplier_at(x)``."""
     values = []
     for plan in menu.plans:
         try:
-            values.append(supplier_utility(supplier, plan).value)
+            values.append(supplier_at(plan).value)
         except InfeasibleError:
             values.append(-np.inf)
     nets = [v - f for v, f in zip(values, menu.fees)]

@@ -26,7 +26,7 @@ import json
 import os
 import socket
 import threading
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,6 +40,8 @@ LISTEN_ENV_VAR = "COPLAN_LISTEN"
 # cap on one buffered line: legal messages of any practical plan dimension
 # stay orders of magnitude below it
 MAX_LINE_BYTES = 1 << 20
+# concurrent sessions per server; a connection past it gets "server busy"
+MAX_SESSIONS = 32
 
 KINDS = ("hello", "query", "response", "offer", "accept", "decline", "error", "bye")
 
@@ -183,10 +185,8 @@ class _LineChannel:
         return decode(line)
 
     def close(self):
-        try:
+        with suppress(OSError):
             self.sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
         self.sock.close()
 
 
@@ -209,9 +209,9 @@ class AgentServer:
     is accepted when it beats the agent's reservation utility (a plan the agent
     cannot fill is declined).  Sessions end on ``bye``, disconnect or
     ``DEFAULT_TIMEOUT`` seconds of silence; malformed input gets an ``error``
-    reply and the session closes.  No private data of the agent ever leaves
-    this process.  ``COPLAN_LISTEN`` fills in whichever of ``host`` and
-    ``port`` the caller leaves out.
+    reply and the session closes, as does a connection past ``MAX_SESSIONS``
+    open sessions.  No private data of the agent ever leaves this process.
+    ``COPLAN_LISTEN`` fills in the ``host`` or ``port`` the caller leaves out.
     """
 
     def __init__(self, agent, reservation=-np.inf, host=None, port=None):
@@ -228,6 +228,7 @@ class AgentServer:
             raise ParameterError(f"cannot listen on {host}:{port}{source}: {exc.strerror}") from exc
         self._stop = threading.Event()
         self._thread = None
+        self._slots = threading.BoundedSemaphore(MAX_SESSIONS)
 
     @property
     def address(self):
@@ -240,10 +241,8 @@ class AgentServer:
 
     def stop(self):
         self._stop.set()
-        try:
+        with suppress(OSError):
             self._listener.shutdown(socket.SHUT_RDWR)  # unblocks accept()
-        except OSError:
-            pass
         self._listener.close()
         if self._thread is not None:
             self._thread.join(timeout=5)
@@ -254,55 +253,53 @@ class AgentServer:
                 conn, _ = self._listener.accept()
             except OSError:
                 return
-            worker = threading.Thread(target=self._run_session, args=(conn,), daemon=True)
-            worker.start()
+            if self._slots.acquire(blocking=False):
+                threading.Thread(target=self._run_session, args=(conn,), daemon=True).start()
+                continue
+            # past the cap: one reply and no thread.  The hello is read first: a close
+            # on unread input resets the connection, and the client's next send fails
+            with suppress(OSError):
+                _refuse(_LineChannel(conn), "unknown", "server busy")
+                conn.settimeout(0.1)
+                conn.recv(MAX_LINE_BYTES)
+            conn.close()
 
     def _run_session(self, conn):
         try:
-            self._serve_session(_LineChannel(conn))
-        except (ConnectionError, OSError):
-            pass
+            with suppress(OSError):  # a dropped connection just ends the session
+                self._serve_session(_LineChannel(conn))
         finally:
+            self._slots.release()  # before close: a peer that sees EOF finds the slot free
             conn.close()
 
     def _serve_session(self, channel):
         try:
             hello = channel.recv(timeout=DEFAULT_TIMEOUT)
         except ParseError as exc:
-            channel.send(Message("error", "unknown", payload={"reason": str(exc.reason)}))
-            return
+            return _refuse(channel, "unknown", exc.reason)
         if hello.kind != "hello":
-            channel.send(Message("error", hello.session, payload={"reason": "expected hello"}))
-            return
-        session = hello.session
-        dim = hello.payload["dim"]
-        rho = hello.payload["rho"]
+            return _refuse(channel, hello.session, "expected hello")
+        session, dim, rho = hello.session, hello.payload["dim"], hello.payload["rho"]
         if dim != self.agent.dim or rho <= 0:
-            channel.send(Message("error", session,
-                                 payload={"reason": "dimension-mismatch or bad rho"}))
-            return
+            return _refuse(channel, session, "dimension-mismatch or bad rho")
         endpoint = LocalEndpoint(self.agent)
         while True:
             try:
                 msg = channel.recv(timeout=DEFAULT_TIMEOUT)
             except ParseError as exc:
-                channel.send(Message("error", session, payload={"reason": str(exc.reason)}))
-                return
+                return _refuse(channel, session, exc.reason)
             if msg.session != session:
-                channel.send(Message("error", session, payload={"reason": "unknown session"}))
-                return
+                return _refuse(channel, session, "unknown session")
             if msg.kind == "bye":
                 return
             if msg.kind in ("query", "offer") and msg.payload["dim"] != dim:
-                channel.send(Message("error", session, payload={"reason": "dimension-mismatch"}))
-                return
+                return _refuse(channel, session, "dimension-mismatch")
             if msg.kind == "query":
                 try:
                     plan = endpoint.respond(msg.payload["prices"], msg.payload["z"], rho,
                                             msg.iteration)
                 except CoplanError as exc:  # e.g. a best response that did not converge
-                    channel.send(Message("error", session, payload={"reason": str(exc)}))
-                    return
+                    return _refuse(channel, session, exc)
                 channel.send(Message("response", session, iteration=msg.iteration,
                                      payload={"dim": dim, "plan": plan}))
             elif msg.kind == "offer":
@@ -312,13 +309,15 @@ class AgentServer:
                 except InfeasibleError:
                     taking = False
                 except ParameterError as exc:  # e.g. a negative entry
-                    channel.send(Message("error", session, payload={"reason": str(exc)}))
-                    return
+                    return _refuse(channel, session, exc)
                 channel.send(Message("accept" if taking else "decline", session))
             else:
-                channel.send(Message("error", session,
-                                     payload={"reason": f"unexpected {msg.kind}"}))
-                return
+                return _refuse(channel, session, f"unexpected {msg.kind}")
+
+
+def _refuse(channel, session, reason):
+    """Send the one ``error`` reply that ends a session."""
+    channel.send(Message("error", session, payload={"reason": str(reason)}))
 
 
 @contextmanager
@@ -376,18 +375,15 @@ class RemoteAgent:
 
     def offer(self, plan, fee):
         self._channel.send(Message("offer", self.session,
-                                   payload={"dim": self.dim, "plan": plan,
-                                            "fee": float(fee)}))
+                                   payload={"dim": self.dim, "plan": plan, "fee": float(fee)}))
         reply = self._read()
         if reply.kind not in ("accept", "decline"):
             raise ProtocolError(f"expected accept/decline, got {reply.kind}")
         return reply.kind == "accept"
 
     def close(self):
-        try:
+        with suppress(OSError):
             self._channel.send(Message("bye", self.session))
-        except OSError:
-            pass
         self._channel.close()
 
     def _read(self):

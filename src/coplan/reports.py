@@ -12,7 +12,8 @@ Analyses and what they add to the report:
   dynamic    weekly rolling-horizon ledger with cost-benefit transfers
 
 Dependencies are computed as needed but only requested sections are emitted.
-Settlement identities are re-verified before the report is returned.
+Each side's utility is solved once per distinct plan of a report; settlement
+identities are re-verified on those values before the report is returned.
 """
 
 import json
@@ -25,17 +26,17 @@ from .dynamic import simulate
 from .errors import ParameterError
 from .mechanism import (
     budget_balance_check,
-    build_menu,
+    choose_option,
     consensus_plan,
     default_menu_plans,
     efficient_plan,
+    price_menu,
+    price_settlement,
     standalone_plans,
-    supplier_choose,
-    vcg_transfers,
 )
 from .protocol import served
 from .scenario import ANALYSES
-from .transport import retailer_utility, supplier_utility
+from .transport import as_plan, retailer_utility, supplier_utility
 
 
 @dataclass(frozen=True)
@@ -68,17 +69,19 @@ def run(scenario, analyses=ANALYSES, trace=None, seed=None):
     lines = [f"Scenario: {scenario.name} (mode: {scenario.mode})"]
 
     sections = {}
+    retailer_at = _evaluator(retailer_utility, scenario.retailer)
+    supplier_at = _evaluator(supplier_utility, scenario.supplier)
     if "jit" in needed:
-        payload, rendered, status_quo = _run_jit(scenario)
+        payload, rendered, status_quo = _run_jit(scenario, retailer_at, supplier_at)
         sections["jit"] = (payload, rendered)
     if "firstbest" in needed:
-        fb_payload, rendered, plan = _run_firstbest(scenario, status_quo,
-                                                    sections["jit"][0], trace)
+        fb_payload, rendered, plan = _run_firstbest(scenario, retailer_at, supplier_at,
+                                                    status_quo, sections["jit"][0], trace)
         sections["firstbest"] = (fb_payload, rendered)
     if "vcg" in needed:
-        sections["vcg"] = _run_vcg(scenario, status_quo, plan)
+        sections["vcg"] = _run_vcg(scenario, retailer_at, supplier_at, status_quo, plan)
     if "menu" in needed:
-        sections["menu"] = _run_menu(scenario, status_quo, plan)
+        sections["menu"] = _run_menu(scenario, retailer_at, supplier_at, status_quo, plan)
     if "dynamic" in needed:
         sections["dynamic"] = _run_dynamic(scenario)
 
@@ -90,6 +93,19 @@ def run(scenario, analyses=ANALYSES, trace=None, seed=None):
     return Report(machine=machine, text="\n".join(lines) + "\n")
 
 
+def _evaluator(utility, spec):
+    """``utility(spec, plan)`` solved once per distinct plan, keyed on its bytes
+    after ``as_plan`` (an infeasible plan raises on every call, before any solve)."""
+    memo = {}
+
+    def at(plan):
+        key = as_plan(plan, spec.n_inbound).tobytes()
+        if key not in memo:
+            memo[key] = utility(spec, plan)
+        return memo[key]
+    return at
+
+
 def _plan_list(plan):
     return [float(v) for v in np.asarray(plan, dtype=float)]
 
@@ -98,10 +114,9 @@ def _fmt_plan(plan):
     return "[" + ", ".join(f"{v:.2f}" for v in plan) + "]"
 
 
-def _run_jit(scenario):
+def _run_jit(scenario, retailer_at, supplier_at):
     status_quo = standalone_plans(scenario.retailer, scenario.supplier)
-    ev_r = retailer_utility(scenario.retailer, status_quo.retailer_plan)
-    ev_s = supplier_utility(scenario.supplier, status_quo.supplier_plan)
+    ev_r, ev_s = retailer_at(status_quo.retailer_plan), supplier_at(status_quo.supplier_plan)
     payload = {
         "retailer_plan": _plan_list(status_quo.retailer_plan),
         "supplier_plan": _plan_list(status_quo.supplier_plan),
@@ -135,12 +150,11 @@ def _coordinate(scenario, status_quo, fee=None, trace=None):
                           endpoints=served if scenario.mode == "protocol" else None)
 
 
-def _run_firstbest(scenario, status_quo, jit_payload, trace):
+def _run_firstbest(scenario, retailer_at, supplier_at, status_quo, jit_payload, trace):
     # true socially efficient plan; fee-induced allocation bias (if any)
     # shows up in the settlement section instead
     plan, result = _coordinate(scenario, status_quo, trace=trace)
-    ev_r = retailer_utility(scenario.retailer, plan)
-    ev_s = supplier_utility(scenario.supplier, plan)
+    ev_r, ev_s = retailer_at(plan), supplier_at(plan)
     total_cost = ev_r.transport.objective + ev_s.transport.objective
     jit_cost = jit_payload["total_cost"]
     reduction = 100.0 * (jit_cost - total_cost) / jit_cost if jit_cost else 0.0
@@ -171,20 +185,21 @@ def _run_firstbest(scenario, status_quo, jit_payload, trace):
     return payload, rendered, plan
 
 
-def _run_vcg(scenario, status_quo, plan):
+def _run_vcg(scenario, retailer_at, supplier_at, status_quo, plan):
     settled_plan, replan = plan, None
     if scenario.fee.report_scale != 1.0 or scenario.fee.variant == "linear_deviation":
         # reported-utility bias moves the allocation itself
         settled_plan, replan = _coordinate(scenario, status_quo, fee=scenario.fee)
-    report = vcg_transfers(scenario.retailer, scenario.supplier, status_quo,
-                           settled_plan, scenario.fee)
+    report = price_settlement(retailer_at, supplier_at, status_quo, settled_plan, scenario.fee)
     report.verify()
-    fee_free = vcg_transfers(scenario.retailer, scenario.supplier, status_quo, plan)
+    fee_free = price_settlement(retailer_at, supplier_at, status_quo, plan)
     fee_free.verify()
     diagnosis = budget_balance_check(fee_free)
     accepted = report.supplier_accepts
-    if scenario.mode == "protocol":
-        accepted = _offer_over_protocol(scenario, status_quo, report)
+    if scenario.mode == "protocol":  # the supplier's server takes or leaves the offer
+        with served([SupplierAgent(scenario.supplier)], scenario.consensus.rho,
+                    reservation=supplier_at(status_quo.supplier_plan).value) as (remote,):
+            accepted = remote.offer(report.plan, report.transfer_supplier)
     payload = {
         "plan": _plan_list(report.plan),
         "plan_distorted_by_fee": bool(np.any(np.abs(settled_plan - plan) > 1e-7)),
@@ -220,24 +235,16 @@ def _run_vcg(scenario, status_quo, plan):
     return payload, rendered
 
 
-def _offer_over_protocol(scenario, status_quo, report):
-    reservation = supplier_utility(scenario.supplier, status_quo.supplier_plan).value
-    with served([SupplierAgent(scenario.supplier)], scenario.consensus.rho,
-                reservation=reservation) as (remote,):
-        return remote.offer(report.plan, report.transfer_supplier)
-
-
-def _run_menu(scenario, status_quo, plan):
+def _run_menu(scenario, retailer_at, supplier_at, status_quo, plan):
     alpha = scenario.fee.alpha if scenario.fee.variant == "additive" else 0.0
     plans = scenario.menu_plans
     if plans is None:
         plans = default_menu_plans(status_quo.retailer_plan, plan)
-    menu = build_menu(scenario.retailer, status_quo, plans, alpha=alpha)
-    reservation = supplier_utility(scenario.supplier, status_quo.supplier_plan).value
-    choice = supplier_choose(scenario.supplier, menu, reservation=reservation)
-    u_sq = retailer_utility(scenario.retailer, status_quo.retailer_plan).value
+    menu = price_menu(retailer_at, status_quo, plans, alpha=alpha)
+    choice = choose_option(supplier_at, menu, supplier_at(status_quo.supplier_plan).value)
+    u_sq = retailer_at(status_quo.retailer_plan).value
     for menu_plan, fee in zip(menu.plans, menu.fees):
-        want = u_sq - retailer_utility(scenario.retailer, menu_plan).value + alpha
+        want = u_sq - retailer_at(menu_plan).value + alpha
         assert abs(fee - want) <= 1e-6, "menu pricing identity broken"
     payload = {
         "alpha": alpha,

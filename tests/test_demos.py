@@ -27,3 +27,17 @@ def test_import_loads_no_scipy():
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_import_loads_nothing_new_at_start_up():
+    # start-up guard: past numpy and the standard modules the package is built
+    # on, importing the package, the CLI and the report runner loads only coplan
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    probe = ("import sys; import numpy, json, socket, selectors, threading, dataclasses, "
+             "argparse, contextlib, pathlib, importlib.resources; base = set(sys.modules); "
+             "import coplan, coplan.cli, coplan.reports; "
+             "print(sorted(m for m in set(sys.modules) - base if m.split('.')[0] != 'coplan'))")
+    done = subprocess.run([sys.executable, "-c", probe], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -287,6 +287,32 @@ def test_failed_query_gets_error_and_server_lives_on(toy_supplier):
         server.stop()
 
 
+def test_connection_past_the_session_cap_gets_server_busy(toy_supplier, toy_supplier_server):
+    # MAX_SESSIONS idle sessions fill the server: the next connection gets one
+    # error reply and starts no thread, and a session that ends frees its slot
+    address = toy_supplier_server.address
+    threads = threading.active_count()
+    first = socket.create_connection(address, timeout=10.0)
+    first.sendall(encode(HELLO))
+    idle = [RemoteAgent(address, dim=2, rho=1.0) for _ in range(protocol.MAX_SESSIONS - 1)]
+    try:
+        busy = RemoteAgent(address, dim=2, rho=1.0)
+        with pytest.raises(ProtocolError, match="server busy"):
+            busy.respond(np.zeros(2), np.array([10.0, 90.0]), 1.0, 1)
+        busy.close()
+        assert threading.active_count() - threads <= protocol.MAX_SESSIONS
+        first.sendall(encode(Message("bye", "s1")))
+        assert first.recv(1) == b""  # the server ended that session
+        idle.append(RemoteAgent(address, dim=2, rho=1.0))
+        got = idle[-1].respond(np.zeros(2), np.array([10.0, 90.0]), 1.0, 1)
+        want = best_response(SupplierAgent(toy_supplier), np.zeros(2), np.array([10.0, 90.0]), 1.0)
+        assert np.array_equal(got, want.plan)
+    finally:
+        first.close()
+        for remote in idle:
+            remote.close()
+
+
 def test_idle_session_is_closed(toy_supplier_server, monkeypatch):
     monkeypatch.setattr(protocol, "DEFAULT_TIMEOUT", 0.2)
     started = time.monotonic()

@@ -1,10 +1,12 @@
 import json
 import socket
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from coplan import mechanism, reports, transport
 from coplan.cli import main
 from coplan.errors import ParameterError, SchemaError
 from coplan.reports import run
@@ -162,6 +164,54 @@ def test_unconverged_fee_replan_is_flagged(toy):
     assert "converged" not in run(replace(toy, mode="cpp"), analyses=["vcg"]).machine["vcg"]
     assert "converged" not in run(replace(biased, mode="centralized"),
                                   analyses=["vcg"]).machine["vcg"]
+
+
+def test_report_solves_each_plan_once(toy, monkeypatch):
+    # toy settles with 12 distinct transport solves: the standalone order, the
+    # joint LP, and each side at the status quo, at the first-best plan and at
+    # the three menu plans that differ from it
+    solves = []
+    real = transport.solve_transport
+
+    def counted(*args, **kwargs):
+        solves.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(transport, "solve_transport", counted)
+    monkeypatch.setattr(mechanism, "solve_transport", counted)
+    for _ in range(2):  # nothing carries over from one report to the next
+        solves.clear()
+        run(replace(toy, mode="centralized"), analyses=["jit", "firstbest", "vcg", "menu"])
+        assert len(solves) == 12
+
+
+def _menu_fees_off_by_one(price_menu):
+    def priced(*args, **kwargs):
+        menu = price_menu(*args, **kwargs)
+        return replace(menu, fees=tuple(fee + 1.0 for fee in menu.fees))
+    return priced
+
+
+def _transfer_drifted(price_settlement):
+    def priced(*args, **kwargs):
+        report = price_settlement(*args, **kwargs)
+        return replace(report, transfer_supplier=report.transfer_supplier + 1.0)
+    return priced
+
+
+@pytest.mark.parametrize("name, skew, message", [
+    ("price_menu", _menu_fees_off_by_one, "menu pricing identity broken"),
+    ("price_settlement", _transfer_drifted, "transfer identity broken"),
+])
+def test_self_checks_fire_on_reused_evaluations(toy, name, skew, message, monkeypatch,
+                                                capsys):
+    # the checks read the same per-report evaluations the pricing reads, so a
+    # priced value that drifts from them must still fail the report
+    monkeypatch.setattr(reports, name, skew(getattr(reports, name)))
+    with pytest.raises(AssertionError, match=message):
+        run(toy, analyses=["jit", "firstbest", "vcg", "menu"])
+    assert main(["--scenario", "toy"]) == 3
+    assert "report failed its self-check" in capsys.readouterr().err
 
 
 def test_machine_report_is_byte_identical_across_runs(toy):

@@ -337,7 +337,6 @@ class DynamicSupplierAgent(_WindowAgent):
 @dataclass(frozen=True)
 class CoordinatedPlan:
     orders: np.ndarray
-    free_weeks: int
     converged: bool
     iterations: int
     fallback_to_baseline: bool
@@ -366,9 +365,8 @@ def coordinated_plan(model, state, warm_plan=None, warm_prices=None):
     prefix = _binding_prefix(model, state)
     free = model.window(state.week).size - prefix.size
     if free == 0:
-        return CoordinatedPlan(orders=prefix.copy(), free_weeks=0, converged=True,
-                               iterations=0, fallback_to_baseline=False,
-                               prices=None)
+        return CoordinatedPlan(orders=prefix.copy(), converged=True, iterations=0,
+                               fallback_to_baseline=False, prices=None)
 
     baseline = commitment_baseline(model, state)
     seed_ok = prefix.size == 0  # shifted seeds only align with an uncommitted window
@@ -388,7 +386,7 @@ def coordinated_plan(model, state, warm_plan=None, warm_prices=None):
         model, baseline, state)
     if fallback:
         orders = baseline
-    return CoordinatedPlan(orders=orders, free_weeks=free, converged=result.converged,
+    return CoordinatedPlan(orders=orders, converged=result.converged,
                            iterations=result.iterations, fallback_to_baseline=bool(fallback),
                            prices=result.prices)
 
@@ -435,8 +433,6 @@ class WeekRecord:
     cumulative_cbt: float
     jit_orders: np.ndarray
     coordinated_orders: np.ndarray
-    retailer_total_jit: float
-    retailer_total_plan: float
     joint_total_jit: float
     joint_total_plan: float
 
@@ -465,8 +461,6 @@ def roll_forward(model, state, realized_demand, plan):
         cumulative_cbt=state.cumulative_cbt + float(cbt),
         jit_orders=jit_orders,
         coordinated_orders=plan,
-        retailer_total_jit=retailer_flow_utility(model, jit_orders, state)[1],
-        retailer_total_plan=retailer_flow_utility(model, plan, state)[1],
         joint_total_jit=joint_flow_utility(model, jit_orders, state),
         joint_total_plan=joint_flow_utility(model, plan, state),
     )

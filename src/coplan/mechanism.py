@@ -7,10 +7,10 @@ externality transfer, applies activity-fee variants, and prices menus of
 contracts that let the supplier pick the efficient plan in dominant
 strategies.
 
-The centralized LP is one transport-simplex solve (:func:`linprog`).  Each
-pricing step also takes the utility evaluations it needs as functions of the
-plan (:func:`price_settlement`, :func:`price_menu`, :func:`choose_option`),
-so a caller holding them, as a report does, solves each plan only once.
+The centralized LP is one transport-simplex solve (:func:`linprog`).  The
+pricing steps take each side as its utility, a callable ``plan ->
+UtilityEvaluation``: a spec is one, and a report passes one that solves each
+plan once.
 
 Plans here live in X = {x >= 0, sum(x) <= total demand}: ordering more than
 can possibly sell has no retail value, and leaving the total uncapped would
@@ -25,7 +25,7 @@ import numpy as np
 from ._qp import project_capped
 from .consensus import ConsensusConfig, RetailerAgent, SupplierAgent, run_consensus
 from .errors import InfeasibleError, ParameterError
-from .transport import as_plan, retailer_utility, solve_transport, supplier_utility
+from .transport import as_plan, retailer_utility, solve_transport
 
 _TOL = 1e-9
 
@@ -74,6 +74,18 @@ class FeePolicy:
     def linear_deviation(cls, over_rate, under_rate):
         return cls(variant="linear_deviation", over_rate=float(over_rate),
                    under_rate=float(under_rate))
+
+    @property
+    def moves_plan(self):
+        """Whether the fee biases the reported utility, and so the efficient
+        plan: a scaled report or a deviation charge does, a flat fee does not."""
+        return self.report_scale != 1.0 or self.variant == "linear_deviation"
+
+    @property
+    def flat_fee(self):
+        """Flat fee on top of the reported utility and of every menu option's
+        price (the additive alpha)."""
+        return self.alpha if self.variant == "additive" else 0.0
 
     @property
     def report_scale(self):
@@ -165,11 +177,9 @@ class BoostedRetailerAgent(RetailerAgent):
     def evaluate(self, plan):
         value, grad = super().evaluate(plan)
         scale = self.fee.report_scale
-        value = scale * value
+        value = scale * value + self.fee.flat_fee
         grad = scale * grad
-        if self.fee.variant == "additive":
-            value += self.fee.alpha
-        elif self.fee.variant == "linear_deviation":
+        if self.fee.variant == "linear_deviation":
             value -= deviation_penalty(plan, self.reference, self.fee.over_rate,
                                        self.fee.under_rate)
             delta = np.asarray(plan, dtype=float) - self.reference
@@ -287,8 +297,6 @@ class SettlementReport:
     supplier_value_plan: float
     retailer_value_standalone: float
     supplier_value_standalone: float
-    retailer_cost_plan: float        # transport cost components for reporting
-    supplier_cost_plan: float
     transfer_supplier: float         # paid by the supplier to the principal
     transfer_retailer: float         # paid by the retailer agent to the principal
     fee_term: float
@@ -311,18 +319,14 @@ class SettlementReport:
 def vcg_transfers(retailer, supplier, status_quo, x_star, fee=None):
     """Price the settled plan: the supplier pays the retailer's utility drop
     plus the activity fee, the retailer agent pays the supplier's drop (a
-    bookkeeping entry that nets out of the principal-plus-agent position)."""
-    return price_settlement(lambda x: retailer_utility(retailer, x),
-                            lambda x: supplier_utility(supplier, x), status_quo, x_star, fee)
-
-
-def price_settlement(retailer_at, supplier_at, status_quo, x_star, fee=None):
-    """:func:`vcg_transfers` from the evaluations ``retailer_at(x)`` and ``supplier_at(x)``."""
+    bookkeeping entry that nets out of the principal-plus-agent position).
+    ``retailer`` and ``supplier`` are each side's utility, ``plan ->
+    UtilityEvaluation`` (a spec, or a report's memoized evaluation)."""
     fee = fee or FeePolicy.none()
     x_star = as_plan(x_star)
-    ev_a_star, ev_s_star = retailer_at(x_star), supplier_at(x_star)
-    u_a_sq = retailer_at(status_quo.retailer_plan).value
-    u_s_sq = supplier_at(status_quo.supplier_plan).value
+    ev_a_star, ev_s_star = retailer(x_star), supplier(x_star)
+    u_a_sq = retailer(status_quo.retailer_plan).value
+    u_s_sq = supplier(status_quo.supplier_plan).value
 
     drop = u_a_sq - ev_a_star.value
     fee_term = fee.transfer_term(drop, x_star=x_star, standalone_plan=status_quo.retailer_plan)
@@ -335,8 +339,6 @@ def price_settlement(retailer_at, supplier_at, status_quo, x_star, fee=None):
         plan=x_star, status_quo=status_quo, fee=fee,
         retailer_value_plan=ev_a_star.value, supplier_value_plan=ev_s_star.value,
         retailer_value_standalone=u_a_sq, supplier_value_standalone=u_s_sq,
-        retailer_cost_plan=ev_a_star.transport.objective,
-        supplier_cost_plan=ev_s_star.transport.objective,
         transfer_supplier=t_supplier, transfer_retailer=t_retailer, fee_term=fee_term,
         budget_sum=t_retailer + t_supplier, gain=gain, supplier_surplus=supplier_surplus,
         retailer_surplus=retailer_surplus, supplier_accepts=supplier_surplus >= -_TOL)
@@ -370,16 +372,13 @@ class MenuOffer:
 
 
 def build_menu(retailer, status_quo, plans, alpha=0.0):
-    return price_menu(lambda x: retailer_utility(retailer, x), status_quo, plans, alpha)
-
-
-def price_menu(retailer_at, status_quo, plans, alpha=0.0):
-    """:func:`build_menu` from the retailer's evaluation ``retailer_at(x)``."""
+    """Price each plan at the retailer's utility drop from its standalone
+    plan plus ``alpha``; ``retailer`` is its utility, ``plan -> UtilityEvaluation``."""
     if not plans:
         raise ParameterError("menu needs at least one plan")
-    u_a_sq = retailer_at(status_quo.retailer_plan).value
+    u_a_sq = retailer(status_quo.retailer_plan).value
     priced = [as_plan(plan) for plan in plans]
-    fees = [u_a_sq - retailer_at(p).value + alpha for p in priced]
+    fees = [u_a_sq - retailer(p).value + alpha for p in priced]
     return MenuOffer(plans=tuple(priced), fees=tuple(fees), alpha=float(alpha))
 
 
@@ -407,16 +406,12 @@ class MenuChoice:
 def supplier_choose(supplier, menu, reservation=-np.inf):
     """Dominant-strategy choice from a priced menu: the option maximizing the
     supplier's utility net of its fee, ties to the lowest index; declined when
-    even the best option pays less than the reservation value."""
-    return choose_option(lambda x: supplier_utility(supplier, x), menu, reservation)
-
-
-def choose_option(supplier_at, menu, reservation=-np.inf):
-    """:func:`supplier_choose` from the supplier's evaluation ``supplier_at(x)``."""
+    even the best option pays less than the reservation value.  ``supplier``
+    is its utility, ``plan -> UtilityEvaluation``."""
     values = []
     for plan in menu.plans:
         try:
-            values.append(supplier_at(plan).value)
+            values.append(supplier(plan).value)
         except InfeasibleError:
             values.append(-np.inf)
     nets = [v - f for v, f in zip(values, menu.fees)]

@@ -26,17 +26,17 @@ from .dynamic import simulate
 from .errors import ParameterError
 from .mechanism import (
     budget_balance_check,
-    choose_option,
+    build_menu,
     consensus_plan,
     default_menu_plans,
     efficient_plan,
-    price_menu,
-    price_settlement,
     standalone_plans,
+    supplier_choose,
+    vcg_transfers,
 )
 from .protocol import served
 from .scenario import ANALYSES
-from .transport import as_plan, retailer_utility, supplier_utility
+from .transport import as_plan
 
 
 @dataclass(frozen=True)
@@ -69,8 +69,8 @@ def run(scenario, analyses=ANALYSES, trace=None, seed=None):
     lines = [f"Scenario: {scenario.name} (mode: {scenario.mode})"]
 
     sections = {}
-    retailer_at = _evaluator(retailer_utility, scenario.retailer)
-    supplier_at = _evaluator(supplier_utility, scenario.supplier)
+    retailer_at = _evaluator(scenario.retailer)
+    supplier_at = _evaluator(scenario.supplier)
     if "jit" in needed:
         payload, rendered, status_quo = _run_jit(scenario, retailer_at, supplier_at)
         sections["jit"] = (payload, rendered)
@@ -93,15 +93,15 @@ def run(scenario, analyses=ANALYSES, trace=None, seed=None):
     return Report(machine=machine, text="\n".join(lines) + "\n")
 
 
-def _evaluator(utility, spec):
-    """``utility(spec, plan)`` solved once per distinct plan, keyed on its bytes
+def _evaluator(spec):
+    """The utility ``spec(plan)`` solved once per distinct plan, keyed on its bytes
     after ``as_plan`` (an infeasible plan raises on every call, before any solve)."""
     memo = {}
 
     def at(plan):
         key = as_plan(plan, spec.n_inbound).tobytes()
         if key not in memo:
-            memo[key] = utility(spec, plan)
+            memo[key] = spec(plan)
         return memo[key]
     return at
 
@@ -187,13 +187,18 @@ def _run_firstbest(scenario, retailer_at, supplier_at, status_quo, jit_payload, 
 
 def _run_vcg(scenario, retailer_at, supplier_at, status_quo, plan):
     settled_plan, replan = plan, None
-    if scenario.fee.report_scale != 1.0 or scenario.fee.variant == "linear_deviation":
-        # reported-utility bias moves the allocation itself
+    if scenario.fee.moves_plan:
         settled_plan, replan = _coordinate(scenario, status_quo, fee=scenario.fee)
-    report = price_settlement(retailer_at, supplier_at, status_quo, settled_plan, scenario.fee)
+    report = vcg_transfers(retailer_at, supplier_at, status_quo, settled_plan, scenario.fee)
     report.verify()
-    fee_free = price_settlement(retailer_at, supplier_at, status_quo, plan)
+    fee_free = vcg_transfers(retailer_at, supplier_at, status_quo, plan)
     fee_free.verify()
+    if scenario.mode == "centralized":
+        distorted = bool(np.any(np.abs(settled_plan - plan) > 1e-7))
+    else:  # both plans are consensus limits: distorted only past acceptance 3's tolerance
+        joint = fee_free.retailer_value_plan + fee_free.supplier_value_plan
+        loss = joint - report.retailer_value_plan - report.supplier_value_plan
+        distorted = bool(loss > 1e-3 * (1.0 + abs(joint)))
     diagnosis = budget_balance_check(fee_free)
     accepted = report.supplier_accepts
     if scenario.mode == "protocol":  # the supplier's server takes or leaves the offer
@@ -202,7 +207,7 @@ def _run_vcg(scenario, retailer_at, supplier_at, status_quo, plan):
             accepted = remote.offer(report.plan, report.transfer_supplier)
     payload = {
         "plan": _plan_list(report.plan),
-        "plan_distorted_by_fee": bool(np.any(np.abs(settled_plan - plan) > 1e-7)),
+        "plan_distorted_by_fee": distorted,
         "transfer_supplier": report.transfer_supplier,
         "transfer_retailer": report.transfer_retailer,
         "fee_variant": scenario.fee.variant,
@@ -236,12 +241,12 @@ def _run_vcg(scenario, retailer_at, supplier_at, status_quo, plan):
 
 
 def _run_menu(scenario, retailer_at, supplier_at, status_quo, plan):
-    alpha = scenario.fee.alpha if scenario.fee.variant == "additive" else 0.0
+    alpha = scenario.fee.flat_fee
     plans = scenario.menu_plans
     if plans is None:
         plans = default_menu_plans(status_quo.retailer_plan, plan)
-    menu = price_menu(retailer_at, status_quo, plans, alpha=alpha)
-    choice = choose_option(supplier_at, menu, supplier_at(status_quo.supplier_plan).value)
+    menu = build_menu(retailer_at, status_quo, plans, alpha=alpha)
+    choice = supplier_choose(supplier_at, menu, supplier_at(status_quo.supplier_plan).value)
     u_sq = retailer_at(status_quo.retailer_plan).value
     for menu_plan, fee in zip(menu.plans, menu.fees):
         want = u_sq - retailer_at(menu_plan).value + alpha

@@ -22,8 +22,7 @@ from .transport import RetailerSpec, SupplierSpec
 RUN_MODES = ("centralized", "cpp", "protocol")
 ANALYSES = ("jit", "firstbest", "vcg", "menu", "dynamic")
 
-_CONSENSUS_DEFAULTS = {"rho": 1.0, "eps_abs": 1e-4, "eps_rel": 1e-4,
-                       "max_iters": 5000, "adapt_rho": False}
+_CONSENSUS_FIELDS = ("rho", "eps_abs", "eps_rel", "max_iters", "adapt_rho")
 
 
 @dataclass(frozen=True)
@@ -71,13 +70,7 @@ class Scenario:
             "menu_plans": None if self.menu_plans is None else
                           [list(map(float, p)) for p in self.menu_plans],
             "dynamic": None,
-            "consensus": {
-                "rho": self.consensus.rho,
-                "eps_abs": self.consensus.eps_abs,
-                "eps_rel": self.consensus.eps_rel,
-                "max_iters": self.consensus.max_iters,
-                "adapt_rho": self.consensus.adapt_rho,
-            },
+            "consensus": {key: getattr(self.consensus, key) for key in _CONSENSUS_FIELDS},
             "mode": self.mode,
         }
         if self.dynamic is not None:
@@ -254,17 +247,18 @@ def scenario_from_dict(doc, name="scenario"):
         )
 
     c = doc.get("consensus", {})
-    _require(c, "consensus", tuple(_CONSENSUS_DEFAULTS))
-    max_iters = c.get("max_iters", _CONSENSUS_DEFAULTS["max_iters"])
+    _require(c, "consensus", _CONSENSUS_FIELDS)
+    default = ConsensusConfig()
+    max_iters = c.get("max_iters", default.max_iters)
     if isinstance(max_iters, bool) or not isinstance(max_iters, int) or max_iters < 1:
         raise SchemaError("consensus.max_iters", "expected a positive integer")
-    adapt = c.get("adapt_rho", False)
+    adapt = c.get("adapt_rho", default.adapt_rho)
     if not isinstance(adapt, bool):
         raise SchemaError("consensus.adapt_rho", "expected a boolean")
     consensus = ConsensusConfig(
-        rho=_number(c, "consensus", "rho", default=_CONSENSUS_DEFAULTS["rho"]),
-        eps_abs=_number(c, "consensus", "eps_abs", default=_CONSENSUS_DEFAULTS["eps_abs"]),
-        eps_rel=_number(c, "consensus", "eps_rel", default=_CONSENSUS_DEFAULTS["eps_rel"]),
+        rho=_number(c, "consensus", "rho", default=default.rho),
+        eps_abs=_number(c, "consensus", "eps_abs", default=default.eps_abs),
+        eps_rel=_number(c, "consensus", "eps_rel", default=default.eps_rel),
         max_iters=max_iters,
         adapt_rho=adapt,
     )

@@ -260,6 +260,10 @@ class RetailerSpec:
     def gross_profit_total(self):
         return float(self.gross_profit @ self.demand)
 
+    def __call__(self, plan):
+        """This retailer's :func:`retailer_utility` at ``plan``."""
+        return retailer_utility(self, plan)
+
 
 @dataclass(frozen=True)
 class SupplierSpec:
@@ -293,6 +297,10 @@ class SupplierSpec:
     @property
     def total_capacity(self):
         return float(self.capacities.sum())
+
+    def __call__(self, plan):
+        """This supplier's :func:`supplier_utility` at ``plan``."""
+        return supplier_utility(self, plan)
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,5 @@
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -41,3 +43,16 @@ def test_import_loads_nothing_new_at_start_up():
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_perfbench_spans_name_existing_functions():
+    # the tracer wraps coplan by name: a rename must fail here, not only in
+    # the slow traced benchmark run
+    spec = importlib.util.spec_from_file_location("spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for mod_name, attr, *_ in spans._FUNCTIONS:
+        assert callable(getattr(importlib.import_module(f"coplan.{mod_name}"), attr, None)), attr
+    for mod_name, cls_name, attr, _ in spans._METHODS:
+        cls = getattr(importlib.import_module(f"coplan.{mod_name}"), cls_name)
+        assert callable(cls.__dict__.get(attr)), f"{cls_name}.{attr}"

@@ -8,6 +8,7 @@ import pytest
 
 from coplan import mechanism, reports, transport
 from coplan.cli import main
+from coplan.consensus import ConsensusConfig
 from coplan.errors import ParameterError, SchemaError
 from coplan.reports import run
 from coplan.scenario import load_scenario, save_scenario, scenario_from_dict
@@ -29,10 +30,14 @@ def test_load_bundled_toy(toy):
 
 
 def test_roundtrip_save_load_identity(toy, tmp_path):
-    path = tmp_path / "copy.scn"
+    path, again_path = tmp_path / "copy.scn", tmp_path / "again.scn"
     save_scenario(toy, path)
     again = load_scenario(path)
     assert again.to_dict() == toy.to_dict()
+    save_scenario(again, again_path)
+    assert again_path.read_bytes() == path.read_bytes()
+    # a missing consensus block takes ConsensusConfig's own defaults
+    assert scenario_from_dict({**toy.to_dict(), "consensus": {}}).consensus == ConsensusConfig()
 
 
 def test_schema_rejects_missing_supplier(toy):
@@ -185,23 +190,56 @@ def test_report_solves_each_plan_once(toy, monkeypatch):
         assert len(solves) == 12
 
 
-def _menu_fees_off_by_one(price_menu):
+def test_report_prices_through_the_mechanism(toy, monkeypatch):
+    # the report prices with the same three functions a library caller does,
+    # so the tracer books settlement and menu pricing to the mechanism
+    calls = []
+
+    def counted(name):
+        real = getattr(reports, name)
+
+        def call(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return call
+
+    for name in ("vcg_transfers", "build_menu", "supplier_choose"):
+        monkeypatch.setattr(reports, name, counted(name))
+    run(toy, analyses=["jit", "firstbest", "vcg", "menu"])
+    assert sorted(calls) == ["build_menu", "supplier_choose", "vcg_transfers", "vcg_transfers"]
+
+
+@pytest.mark.parametrize("fee, distorted", [
+    (mechanism.FeePolicy.multiplicative(0.2), False),
+    (mechanism.FeePolicy.roi(0.2), False),
+    (mechanism.FeePolicy.linear_deviation(5, 2), True),
+], ids=lambda value: getattr(value, "variant", str(value)))
+def test_fee_distortion_agrees_across_modes(toy, fee, distorted):
+    # a consensus re-plan differs from the consensus first-best plan by the
+    # loop's tolerance even when the fee leaves the optimum where it was; only
+    # a loss of joint utility past acceptance 3's tolerance is a distortion
+    for mode in ("centralized", "cpp"):
+        vcg = run(replace(toy, mode=mode, fee=fee), analyses=["vcg"]).machine["vcg"]
+        assert vcg["plan_distorted_by_fee"] is distorted, mode
+
+
+def _menu_fees_off_by_one(build_menu):
     def priced(*args, **kwargs):
-        menu = price_menu(*args, **kwargs)
+        menu = build_menu(*args, **kwargs)
         return replace(menu, fees=tuple(fee + 1.0 for fee in menu.fees))
     return priced
 
 
-def _transfer_drifted(price_settlement):
+def _transfer_drifted(vcg_transfers):
     def priced(*args, **kwargs):
-        report = price_settlement(*args, **kwargs)
+        report = vcg_transfers(*args, **kwargs)
         return replace(report, transfer_supplier=report.transfer_supplier + 1.0)
     return priced
 
 
 @pytest.mark.parametrize("name, skew, message", [
-    ("price_menu", _menu_fees_off_by_one, "menu pricing identity broken"),
-    ("price_settlement", _transfer_drifted, "transfer identity broken"),
+    ("build_menu", _menu_fees_off_by_one, "menu pricing identity broken"),
+    ("vcg_transfers", _transfer_drifted, "transfer identity broken"),
 ])
 def test_self_checks_fire_on_reused_evaluations(toy, name, skew, message, monkeypatch,
                                                 capsys):

@@ -25,7 +25,7 @@ import numpy as np
 from ._qp import project_capped
 from .consensus import ConsensusConfig, RetailerAgent, SupplierAgent, run_consensus
 from .errors import InfeasibleError, ParameterError
-from .transport import as_plan, retailer_utility, solve_transport
+from .transport import as_plan, solve_transport
 
 _TOL = 1e-9
 
@@ -132,22 +132,26 @@ class StatusQuo:
     supplier_plan: np.ndarray
 
 
-def jit_plan(retailer):
+def jit_plan(retailer, retailer_at=None):
     """The retailer's standalone preferred order: route every demand region
-    from its cheapest inbound node (ties to the lowest node index)."""
+    from its cheapest inbound node (ties to the lowest node index).  The
+    uncapped plan is priced by ``retailer_at``, the retailer's utility (the
+    spec itself by default)."""
     total = float(retailer.demand.sum())
-    uncapped = retailer_utility(retailer, np.full(retailer.n_inbound, total))
+    uncapped = (retailer_at or retailer)(np.full(retailer.n_inbound, total))
     return uncapped.transport.flow.sum(axis=1)
 
 
-def standalone_plans(retailer, supplier):
+def standalone_plans(retailer, supplier, retailer_at=None):
     """Build the status quo: the retailer orders its preferred plan and the
     supplier is assumed to confirm it in full; if the order exceeds total
     source capacity the supplier's reservation plan is instead the partial
     confirmation (a per-node fraction of the order) that maximizes its own
-    utility.
+    utility.  ``retailer_at`` prices the order as in :func:`jit_plan`; a
+    report passes its evaluator, which then already holds the order's value
+    when the order is the uncapped plan (one inbound node).
     """
-    order = jit_plan(retailer)
+    order = jit_plan(retailer, retailer_at)
     confirmed = order.copy()
     if order.sum() > supplier.total_capacity + _TOL:
         confirmed = _best_confirmation(supplier, order)

@@ -115,7 +115,7 @@ def _fmt_plan(plan):
 
 
 def _run_jit(scenario, retailer_at, supplier_at):
-    status_quo = standalone_plans(scenario.retailer, scenario.supplier)
+    status_quo = standalone_plans(scenario.retailer, scenario.supplier, retailer_at)
     ev_r, ev_s = retailer_at(status_quo.retailer_plan), supplier_at(status_quo.supplier_plan)
     payload = {
         "retailer_plan": _plan_list(status_quo.retailer_plan),

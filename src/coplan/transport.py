@@ -3,10 +3,14 @@
 The solver is a primal transportation simplex on the balanced tableau with
 Bland's pivoting rule, so optima (and the flow matrices reported for tied
 optima) are reproducible across runs.  The basis is a spanning tree over the
-rows and columns, kept as adjacency sets that each pivot updates in place;
-one walk of the tree from row 0 per pivot gives the dual potentials and
-every node's parent, and the entering cycle is the tree path between the
-entering cell's row and column.  Dual prices are read off the final tree and
+rows and columns, kept as adjacency sets that each pivot updates in place,
+and hung once from row 0: every node keeps its parent, its depth and its dual
+potential for the whole solve.  The entering cycle is the tree path between
+the entering cell's row and column, found by climbing from both ends to
+their common ancestor.  A pivot cuts the tree at the leaving cell, and only
+the subtree below it moves: it hangs again from the entering cell, and its
+potentials are set again along its tree paths, with the bits a walk of the
+whole tree would give.  Dual prices are read off the final tree and
 normalized against a free-disposal dummy column, which makes them valid
 shadow prices for the inequality-form problem:
 
@@ -36,7 +40,7 @@ def _as_vector(x, name):
     v = np.asarray(x, dtype=float)
     if v.ndim != 1:
         raise DimensionError(f"{name} must be one-dimensional, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ParameterError(f"{name} contains non-finite entries")
     return v
 
@@ -46,7 +50,7 @@ def as_plan(x, dim=None):
     v = _as_vector(x, "plan")
     if dim is not None and v.size != dim:
         raise DimensionError(f"plan has {v.size} entries, expected {dim}")
-    if np.any(v < -_TOL):
+    if (v < -_TOL).any():
         raise ParameterError("plan entries must be nonnegative")
     return np.maximum(v, 0.0)
 
@@ -61,21 +65,22 @@ class TransportSolution:
     col_duals: np.ndarray     # shadow price of each column requirement (>= 0)
     slack_flow: np.ndarray    # per-column units drawn from the virtual slack source
     dual_objective: float = field(default=0.0, repr=False)
+    pivots: int = field(default=0, repr=False)  # simplex pivots from the initial basis
 
 
 def _northwest_corner(supply, demand):
-    """Initial basic feasible solution with exactly m + n - 1 basic cells,
-    and its basis tree as adjacency sets: rows are nodes 0..m-1, columns
-    nodes m..m+n-1."""
-    m, n = supply.size, demand.size
-    flow = np.zeros((m, n))
+    """Initial basic feasible solution with exactly m + n - 1 basic cells, as
+    row lists, and its basis tree as adjacency sets: rows are nodes 0..m-1,
+    columns nodes m..m+n-1.  ``supply`` and ``demand`` are lists of floats."""
+    m, n = len(supply), len(demand)
+    flow = [[0.0] * n for _ in range(m)]
     tree = [set() for _ in range(m + n)]
-    s = supply.copy()
-    d = demand.copy()
+    s = list(supply)
+    d = list(demand)
     i = j = 0
     while True:
         q = min(s[i], d[j])
-        flow[i, j] = q
+        flow[i][j] = q
         tree[i].add(m + j)
         tree[m + j].add(i)
         s[i] -= q
@@ -91,61 +96,90 @@ def _northwest_corner(supply, demand):
     return flow, tree
 
 
-def _walk_tree(costs, tree):
-    """Walk the basis tree from row 0: the potentials solving u_i + w_j = c_ij
-    on every tree cell (u_0 = 0), each set from its tree parent, and each
-    node's parent (-1 at the root).  ``costs`` is a list of row lists."""
+def _hang(costs, tree, root, parent, depth, pot):
+    """Hang the subtree at ``root`` from ``parent[root]`` (already set, -1 for
+    the whole tree): each node below it gets its parent, its depth and the
+    potential solving u_i + w_j = c_ij on its parent arc, c - pot[parent]."""
     m = len(costs)
-    pot = [0.0] * len(tree)
-    parent = [-1] * len(tree)
-    stack = [0]
+    p = parent[root]
+    if p >= 0:
+        depth[root] = depth[p] + 1
+        pot[root] = costs[p][root - m] - pot[p] if p < m else costs[root][p - m] - pot[p]
+    stack = [root]
     while stack:
         v = stack.pop()
+        pv, dv, uv = parent[v], depth[v] + 1, pot[v]
         for x in tree[v]:
-            if x != parent[v]:
+            if x != pv:
                 parent[x] = v
-                pot[x] = costs[v][x - m] - pot[v] if v < m else costs[x][v - m] - pot[v]
+                depth[x] = dv
+                pot[x] = costs[v][x - m] - uv if v < m else costs[x][v - m] - uv
                 stack.append(x)
-    return np.array(pot[:m]), np.array(pot[m:]), parent
 
 
 def _optimize(costs, flow, tree):
-    m, n = costs.shape
-    cost_rows = costs.tolist()
-    for _ in range(_MAX_PIVOTS):
-        u, w, parent = _walk_tree(cost_rows, tree)
-        reduced = costs - u[:, None] - w[None, :]
+    """Pivot the basis ``tree`` to optimality; ``costs`` and ``flow`` are row
+    lists, and ``flow`` and ``tree`` are updated in place.  Returns the
+    potentials (rows, then columns; u_0 = 0) and the number of pivots."""
+    m = len(costs)
+    parent = [-1] * len(tree)
+    depth = [0] * len(tree)
+    pot = [0.0] * len(tree)
+    _hang(costs, tree, 0, parent, depth, pot)
+    neg_tol = -_TOL
+    for pivots in range(_MAX_PIVOTS):
         # Bland's rule: first improving cell in row-major order.  Tree cells
         # price at zero only up to rounding, so they are skipped by name.
-        cells = (divmod(k, n) for k in np.flatnonzero(reduced < -_TOL).tolist())
-        enter = next(((i, j) for i, j in cells if m + j not in tree[i]), None)
+        w = pot[m:]
+        enter = None
+        for ei, row in enumerate(costs):
+            u = pot[ei]
+            for ej, c in enumerate(row):
+                if c - u - w[ej] < neg_tol and parent[ei] != m + ej and parent[m + ej] != ei:
+                    enter = ei, ej
+                    break
+            if enter is not None:
+                break
         if enter is None:
-            return u, w
-        ei, ej = enter
+            return pot, pivots
         # The entering cycle: the tree path from row ei up to the common
         # ancestor and down to column ej; its cells alternate -, +, ..., -.
-        up = [ei]
-        while parent[up[-1]] >= 0:
-            up.append(parent[up[-1]])
-        rank = {v: k for k, v in enumerate(up)}
-        down = [m + ej]
-        while down[-1] not in rank:
-            down.append(parent[down[-1]])
-        path = up[:rank[down[-1]] + 1] + down[-2::-1]
+        a, b = ei, m + ej
+        up, down = [a], [b]
+        while depth[a] > depth[b]:
+            a = parent[a]
+            up.append(a)
+        while depth[b] > depth[a]:
+            b = parent[b]
+            down.append(b)
+        while a != b:
+            a, b = parent[a], parent[b]
+            up.append(a)
+            down.append(b)
+        path = up + down[-2::-1]
         cycle = [(a, b - m) if a < m else (b, a - m) for a, b in zip(path, path[1:])]
         minus = cycle[0::2]
-        theta = min(flow[c] for c in minus)
+        theta = min([flow[i][j] for i, j in minus])
         # Leaving cell: lowest row-major index among the ties (anti-cycling).
-        li, lj = min(c for c in minus if flow[c] <= theta + _EPS)
-        for c in [enter] + cycle[1::2]:
-            flow[c] += theta
-        for c in minus:
-            flow[c] -= theta
-        flow[li, lj] = 0.0
+        li, lj = leave = min([(i, j) for i, j in minus if flow[i][j] <= theta + _EPS])
+        flow[ei][ej] += theta
+        for i, j in cycle[1::2]:
+            flow[i][j] += theta
+        for i, j in minus:
+            flow[i][j] -= theta
+        flow[li][lj] = 0.0
         tree[ei].add(m + ej)
         tree[m + ej].add(ei)
         tree[li].remove(m + lj)
         tree[m + lj].remove(li)
+        # Only the subtree below the leaving cell's deeper end moves: it
+        # hangs again from the entering cell, by the end on its side.
+        if cycle.index(leave) < len(up) - 1:
+            parent[ei] = m + ej
+            _hang(costs, tree, ei, parent, depth, pot)
+        else:
+            parent[m + ej] = ei
+            _hang(costs, tree, m + ej, parent, depth, pot)
     raise ArithmeticError("transportation simplex exceeded its pivot budget")
 
 
@@ -167,9 +201,9 @@ def solve_transport(costs, row_bounds, col_requirements, slack_penalty=None):
         raise DimensionError(
             f"costs {c.shape} inconsistent with bounds ({rb.size},) / requirements ({cq.size},)"
         )
-    if np.any(rb < 0) or np.any(cq < 0):
+    if (rb < 0).any() or (cq < 0).any():
         raise ParameterError("bounds and requirements must be nonnegative")
-    if not np.all(np.isfinite(c)):
+    if not np.isfinite(c).all():
         raise ParameterError("costs must be finite")
 
     total_bound = float(rb.sum())
@@ -181,31 +215,34 @@ def solve_transport(costs, row_bounds, col_requirements, slack_penalty=None):
         )
 
     # Balanced tableau: optional slack row, then a free-disposal dummy column.
-    tab_costs = c
-    supply = rb
+    tab_costs = np.zeros((rows + use_slack, cols + 1))
+    tab_costs[:rows, :cols] = c
+    supply = rb.tolist()
+    surplus = total_bound - total_req
     if use_slack:
-        tab_costs = np.vstack([tab_costs, np.full(cols, float(slack_penalty))])
-        supply = np.append(supply, total_req)
-    surplus = float(supply.sum() - total_req)
+        tab_costs[rows, :cols] = float(slack_penalty)
+        supply.append(total_req)
+        surplus = float(np.array(supply).sum() - total_req)
     if surplus < 0:
         surplus = 0.0
-    tab_costs = np.hstack([tab_costs, np.zeros((tab_costs.shape[0], 1))])
-    demand = np.append(cq, surplus)
+    demand = cq.tolist()
+    demand.append(surplus)
 
     flow, tree = _northwest_corner(supply, demand)
-    u, w = _optimize(tab_costs, flow, tree)
+    pot, pivots = _optimize(tab_costs.tolist(), flow, tree)
+    flow = np.array(flow)
 
     # Normalize duals so the dummy (disposal) column prices at zero; the
     # resulting row duals are <= 0 and column duals >= 0.
-    shift = w[-1]
-    u = u + shift
-    w = w - shift
+    shift = pot[-1]
+    pot = np.array(pot)
+    u = pot[:len(supply)] + shift
+    w = pot[len(supply):] - shift
 
-    real_flow = flow[:rows, :cols].copy()
-    real_flow[np.abs(real_flow) < _EPS] = 0.0
-    slack_flow = flow[rows, :cols].copy() if use_slack else np.zeros(cols)
-    slack_flow[np.abs(slack_flow) < _EPS] = 0.0
-    objective = float(np.sum(tab_costs[:, :cols] * flow[:, :cols]))
+    kept = np.where(np.abs(flow) < _EPS, 0.0, flow)
+    real_flow = kept[:rows, :cols].copy()
+    slack_flow = kept[rows, :cols].copy() if use_slack else np.zeros(cols)
+    objective = float((tab_costs[:, :cols] * flow[:, :cols]).sum())
     row_duals = np.minimum(u[:rows], 0.0)
     col_duals = np.maximum(w[:cols], 0.0)
     dual_objective = float(rb @ row_duals + cq @ col_duals)
@@ -220,6 +257,7 @@ def solve_transport(costs, row_bounds, col_requirements, slack_penalty=None):
         col_duals=col_duals,
         slack_flow=slack_flow,
         dual_objective=dual_objective,
+        pivots=pivots,
     )
 
 

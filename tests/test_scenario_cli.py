@@ -171,10 +171,8 @@ def test_unconverged_fee_replan_is_flagged(toy):
                                   analyses=["vcg"]).machine["vcg"]
 
 
-def test_report_solves_each_plan_once(toy, monkeypatch):
-    # toy settles with 12 distinct transport solves: the standalone order, the
-    # joint LP, and each side at the status quo, at the first-best plan and at
-    # the three menu plans that differ from it
+def _count_solves(monkeypatch):
+    """The argument tuples of every transport solve from here on."""
     solves = []
     real = transport.solve_transport
 
@@ -184,10 +182,35 @@ def test_report_solves_each_plan_once(toy, monkeypatch):
 
     monkeypatch.setattr(transport, "solve_transport", counted)
     monkeypatch.setattr(mechanism, "solve_transport", counted)
+    return solves
+
+
+def test_report_solves_each_plan_once(toy, monkeypatch):
+    # toy settles with 12 distinct transport solves: the standalone order, the
+    # joint LP, and each side at the status quo, at the first-best plan and at
+    # the three menu plans that differ from it
+    solves = _count_solves(monkeypatch)
     for _ in range(2):  # nothing carries over from one report to the next
         solves.clear()
         run(replace(toy, mode="centralized"), analyses=["jit", "firstbest", "vcg", "menu"])
         assert len(solves) == 12
+
+
+def test_one_inbound_standalone_order_is_solved_once(toy, monkeypatch):
+    # with one inbound node the standalone order is the uncapped plan that
+    # chose it, so the jit section reads the retailer's value from that solve:
+    # one retailer solve and one supplier solve
+    solves = _count_solves(monkeypatch)
+    pair = replace(toy, mode="centralized", menu_plans=None,
+                   retailer=transport.RetailerSpec(demand=[40.0, 60.0], arc_costs=[[1.0, 5.0]],
+                                                   gross_profit=[20.0, 20.0]),
+                   supplier=transport.SupplierSpec(capacities=[100.0, 10.0],
+                                                   arc_costs=[[10.0], [1.0]],
+                                                   gross_profit=[20.0]))
+    payload = run(pair, analyses=["jit"]).machine["jit"]
+    assert payload["retailer_plan"] == [100.0]
+    assert payload["retailer_cost"] == 340.0
+    assert len(solves) == 2
 
 
 def test_report_prices_through_the_mechanism(toy, monkeypatch):

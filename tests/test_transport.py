@@ -271,18 +271,19 @@ def test_objective_matches_scipy_on_larger_instances():
 # Tie-breaking bits: degenerate instances pinned by tests/golden.
 
 DEGENERATE_GOLDEN = Path(__file__).parent / "golden" / "transport_degenerate.json"
+LARGE_GOLDEN = Path(__file__).parent / "golden" / "transport_large.json"
 
 
-def degenerate_instances():
+def _tied_instances(seed, count, lo, hi):
     """Seeded instances with tied costs (integers 1-5), zero rows and
     columns, balanced totals and a slack penalty that can tie the dearest
-    arc, at 1-10 nodes a side, half of them with slack.  A third have
-    quantities in thirds, so ties in the leaving rule meet rounding."""
-    rng = np.random.default_rng(2026)
+    arc, at ``lo``-``hi`` nodes a side, half of them with slack.  A third
+    have quantities in thirds, so ties in the leaving rule meet rounding."""
+    rng = np.random.default_rng(seed)
     cases = []
-    for k in range(200):
-        m = 1 + k % 10
-        n = int(rng.integers(1, 11))
+    for k in range(count):
+        m = lo + k % (hi - lo + 1)
+        n = int(rng.integers(lo, hi + 1))
         costs = rng.integers(1, 6, size=(m, n))
         bounds = rng.integers(0, 21, size=m) * (rng.random(m) >= 0.3)
         reqs = rng.integers(0, 21, size=n) * (rng.random(n) >= 0.3)
@@ -298,6 +299,17 @@ def degenerate_instances():
     return cases
 
 
+def degenerate_instances():
+    """200 tied instances at 1-10 nodes a side."""
+    return _tied_instances(2026, 200, 1, 10)
+
+
+def large_instances():
+    """30 tied instances at 11-40 nodes a side, one per row count: deep basis
+    trees, where a pivot can cut off and re-hang a long subtree."""
+    return _tied_instances(2027, 30, 11, 40)
+
+
 def _bits(sol):
     def hexed(a):
         return np.vectorize(float.hex, otypes=[object])(np.asarray(a, dtype=float)).tolist()
@@ -308,22 +320,43 @@ def _bits(sol):
             "dual_objective": float.hex(sol.dual_objective)}
 
 
+def _solve(case):
+    return solve_transport(case["costs"], case["row_bounds"], case["col_requirements"],
+                           slack_penalty=case["slack_penalty"])
+
+
 def _outcome(case):
-    return _bits(solve_transport(case["costs"], case["row_bounds"], case["col_requirements"],
-                                 slack_penalty=case["slack_penalty"]))
+    return _bits(_solve(case))
+
+
+def _golden_cases(path):
+    return [json.loads(line) for line in path.read_text().splitlines()]
 
 
 def test_degenerate_instances_keep_their_bits():
     # flows of tied optima and duals of degenerate bases, bit for bit; rewrite
-    # the golden file (PYTHONPATH=src python tests/test_transport.py) only
+    # the golden files (PYTHONPATH=src python tests/test_transport.py) only
     # when they are meant to change
-    cases = [json.loads(line) for line in DEGENERATE_GOLDEN.read_text().splitlines()]
-    for k, case in enumerate(cases):
+    for k, case in enumerate(_golden_cases(DEGENERATE_GOLDEN)):
         assert _outcome(case) == case["outcome"], f"instance {k}"
 
 
+def test_large_instances_keep_their_bits():
+    for k, case in enumerate(_golden_cases(LARGE_GOLDEN)):
+        assert _outcome(case) == case["outcome"], f"instance {k}"
+
+
+def test_pivot_counts_match_the_pinned_sequence():
+    # pivots per cold solve, summed over each golden file: the totals of the
+    # walk-the-whole-tree solver these files were written with, so each
+    # solve takes the same pivots, not just reaches the same final basis
+    for path, total in ((DEGENERATE_GOLDEN, 2079), (LARGE_GOLDEN, 7735)):
+        assert sum(_solve(case).pivots for case in _golden_cases(path)) == total, path.name
+
+
 if __name__ == "__main__":
-    DEGENERATE_GOLDEN.write_text("".join(
-        json.dumps({**case, "outcome": _outcome(case)},
-                   separators=(",", ":")) + "\n"
-        for case in degenerate_instances()))
+    for path, cases in ((DEGENERATE_GOLDEN, degenerate_instances()),
+                        (LARGE_GOLDEN, large_instances())):
+        path.write_text("".join(json.dumps({**case, "outcome": _outcome(case)},
+                                           separators=(",", ":")) + "\n"
+                                for case in cases))

@@ -221,7 +221,6 @@ class ConsensusResult:
     r_dual: float
     converged: bool
     residual_history: np.ndarray   # (iterations, 2) of (r_primal, r_dual)
-    rho_final: float
     joint_utility: float | None = None
     prices: np.ndarray | None = None   # final per-agent price vectors
 
@@ -232,8 +231,9 @@ def run_consensus(agents, config=None, trace=None):
     ``agents`` may be :class:`PlanAgent` instances (wrapped in-process) or any
     endpoint exposing ``respond(prices, z, rho, iteration)``.  ``trace`` is an
     optional callable or writable stream receiving one structured record per
-    iteration.  A run that exhausts ``max_iters`` returns its best state with
-    ``converged=False`` rather than raising.
+    iteration: its number, ``z``, both residuals and the ``rho`` the next
+    queries carry.  A run that exhausts ``max_iters`` returns its best state
+    with ``converged=False`` rather than raising.
     """
     config = config or ConsensusConfig()
     if not agents:
@@ -274,7 +274,7 @@ def run_consensus(agents, config=None, trace=None):
         history.append((state.r_primal, state.r_dual))
         if emit:
             emit({"iteration": state.iteration, "z": state.z.tolist(),
-                  "r_primal": state.r_primal, "r_dual": state.r_dual})
+                  "r_primal": state.r_primal, "r_dual": state.r_dual, "rho": state.rho})
         znorm = float(np.linalg.norm(state.z))
         if (state.r_primal <= config.eps_abs + config.eps_rel * znorm
                 and state.r_dual <= config.eps_abs + config.eps_rel * state.rho * znorm):
@@ -293,7 +293,6 @@ def run_consensus(agents, config=None, trace=None):
         r_dual=state.r_dual,
         converged=converged,
         residual_history=np.asarray(history),
-        rho_final=state.rho,
         joint_utility=joint,
         prices=state.prices.copy(),
     )

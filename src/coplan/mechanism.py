@@ -210,8 +210,9 @@ def consensus_plan(retailer, supplier, fee=None, status_quo=None, config=None,
     """Efficient plan by the consensus loop, projected back into X, and the
     :class:`ConsensusResult`.  The loop starts from the status-quo order (else
     the standalone order) unless ``config`` pins a start.  ``endpoints``, when
-    given, is called as ``endpoints(agents, rho)`` and must be a context
-    manager yielding the endpoints to coordinate (``protocol.served``)."""
+    given, is called as ``endpoints(agents)`` and must be a context manager
+    yielding the endpoints to coordinate (``protocol.served``); every query
+    carries its penalty, so ``adapt_rho`` runs over the wire too."""
     fee = fee or FeePolicy.none()
     reference = status_quo.retailer_plan if status_quo is not None else None
     cfg = config or ConsensusConfig(eps_abs=1e-6, eps_rel=1e-6, adapt_rho=True)
@@ -220,11 +221,7 @@ def consensus_plan(retailer, supplier, fee=None, status_quo=None, config=None,
         cfg = replace(cfg, initial_plan=start)
     agents = [BoostedRetailerAgent(retailer, fee, standalone_plan=reference),
               SupplierAgent(supplier)]
-    if endpoints is not None and cfg.adapt_rho:
-        raise ParameterError(
-            "adaptive penalty cannot run over the wire protocol: sessions pin rho "
-            "at the handshake")
-    with nullcontext(agents) if endpoints is None else endpoints(agents, cfg.rho) as parties:
+    with nullcontext(agents) if endpoints is None else endpoints(agents) as parties:
         result = run_consensus(parties, cfg, trace=trace)
     cap = min(float(retailer.demand.sum()), supplier.total_capacity)
     return project_capped(result.plan, cap), result

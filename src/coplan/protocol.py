@@ -12,8 +12,8 @@ reproduces the in-process trajectory bit for bit.
 
 Canonical examples:
 
-    {"kind":"hello","session":"s1","dim":2,"rho":1.0}
-    {"kind":"query","session":"s1","iteration":3,"dim":2,"prices":[0.5,-0.25],"z":[40.0,60.0]}
+    {"kind":"hello","session":"s1","dim":2}
+    {"kind":"query","session":"s1","iteration":3,"dim":2,"rho":1.0,"prices":[0.5,-0.25],"z":[40.0,60.0]}
     {"kind":"response","session":"s1","iteration":3,"dim":2,"plan":[39.5,60.25]}
     {"kind":"offer","session":"s1","dim":2,"plan":[10.0,90.0],"fee":80.0}
     {"kind":"accept","session":"s1"}
@@ -47,8 +47,8 @@ KINDS = ("hello", "query", "response", "offer", "accept", "decline", "error", "b
 
 # canonical field order per kind, after "kind" and "session"
 _FIELDS = {
-    "hello": ("dim", "rho"),
-    "query": ("iteration", "dim", "prices", "z"),
+    "hello": ("dim",),
+    "query": ("iteration", "dim", "rho", "prices", "z"),
     "response": ("iteration", "dim", "plan"),
     "offer": ("dim", "plan", "fee"),
     "accept": (),
@@ -63,7 +63,6 @@ _VECTOR_FIELDS = ("prices", "z", "plan")
 class Message:
     kind: str
     session: str
-    iteration: int | None = None
     payload: dict = field(default_factory=dict)
 
 
@@ -73,9 +72,6 @@ def encode(msg):
         raise ProtocolError(f"unknown message kind {msg.kind!r}")
     doc = {"kind": msg.kind, "session": msg.session}
     for name in _FIELDS[msg.kind]:
-        if name == "iteration":
-            doc["iteration"] = int(msg.iteration)
-            continue
         if name not in msg.payload:
             raise ProtocolError(f"{msg.kind} message is missing field {name!r}")
         value = msg.payload[name]
@@ -122,18 +118,12 @@ def decode(line):
     if missing:
         raise ParseError(f"missing fields {sorted(missing)}")
 
-    iteration = None
     payload = {}
     for name in _FIELDS[kind]:
         value = doc[name]
-        if name == "iteration":
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ParseError("iteration must be an integer")
-            iteration = value
-            continue
-        if name == "dim":
+        if name in ("iteration", "dim"):
             if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-                raise ParseError("dim must be a nonnegative integer")
+                raise ParseError(f"{name} must be a nonnegative integer")
         elif name in _VECTOR_FIELDS:
             if not isinstance(value, list) or not all(
                     isinstance(v, (int, float)) and not isinstance(v, bool) for v in value):
@@ -156,7 +146,7 @@ def decode(line):
             if name in payload and payload[name].size != dim:
                 raise ParseError(
                     f"dimension-mismatch: {name} has {payload[name].size} entries, dim={dim}")
-    return Message(kind=kind, session=session, iteration=iteration, payload=payload)
+    return Message(kind=kind, session=session, payload=payload)
 
 
 class _LineChannel:
@@ -203,15 +193,17 @@ def default_listen_address():
 class AgentServer:
     """Serves one plan agent to coordinator sessions.
 
-    Each connection is one session: a ``hello`` fixes the plan dimension and
-    penalty, queries are answered with proximal best responses (by a
-    per-session in-process endpoint, so warm starts match), and a plan/fee offer
-    is accepted when it beats the agent's reservation utility (a plan the agent
-    cannot fill is declined).  Sessions end on ``bye``, disconnect or
-    ``DEFAULT_TIMEOUT`` seconds of silence; malformed input gets an ``error``
-    reply and the session closes, as does a connection past ``MAX_SESSIONS``
-    open sessions.  No private data of the agent ever leaves this process.
-    ``COPLAN_LISTEN`` fills in the ``host`` or ``port`` the caller leaves out.
+    Each connection is one session: a ``hello`` fixes the plan dimension,
+    each query is answered with the proximal best response at the query's own
+    penalty ``rho`` (by a per-session in-process endpoint, so warm starts
+    match), and a plan/fee offer is accepted when it beats the agent's
+    reservation utility (a plan the agent cannot fill is declined).  Sessions
+    end on ``bye``, disconnect or ``DEFAULT_TIMEOUT`` seconds of silence;
+    malformed input or a query that fails (say, at ``rho <= 0``) gets an
+    ``error`` reply and the session closes, as does a connection past
+    ``MAX_SESSIONS`` open sessions.  No private data of the agent ever leaves
+    this process.  ``COPLAN_LISTEN`` fills in the ``host`` or ``port`` the
+    caller leaves out.
     """
 
     def __init__(self, agent, reservation=-np.inf, host=None, port=None):
@@ -279,9 +271,9 @@ class AgentServer:
             return _refuse(channel, "unknown", exc.reason)
         if hello.kind != "hello":
             return _refuse(channel, hello.session, "expected hello")
-        session, dim, rho = hello.session, hello.payload["dim"], hello.payload["rho"]
-        if dim != self.agent.dim or rho <= 0:
-            return _refuse(channel, session, "dimension-mismatch or bad rho")
+        session, dim = hello.session, hello.payload["dim"]
+        if dim != self.agent.dim:
+            return _refuse(channel, session, "dimension-mismatch")
         endpoint = LocalEndpoint(self.agent)
         while True:
             try:
@@ -295,13 +287,14 @@ class AgentServer:
             if msg.kind in ("query", "offer") and msg.payload["dim"] != dim:
                 return _refuse(channel, session, "dimension-mismatch")
             if msg.kind == "query":
+                q = msg.payload
                 try:
-                    plan = endpoint.respond(msg.payload["prices"], msg.payload["z"], rho,
-                                            msg.iteration)
-                except CoplanError as exc:  # e.g. a best response that did not converge
+                    plan = endpoint.respond(q["prices"], q["z"], q["rho"], q["iteration"])
+                except CoplanError as exc:  # e.g. rho <= 0, or no convergence
                     return _refuse(channel, session, exc)
-                channel.send(Message("response", session, iteration=msg.iteration,
-                                     payload={"dim": dim, "plan": plan}))
+                channel.send(Message("response", session,
+                                     payload={"iteration": q["iteration"], "dim": dim,
+                                              "plan": plan}))
             elif msg.kind == "offer":
                 try:
                     value = float(self.agent.evaluate(msg.payload["plan"])[0])
@@ -321,7 +314,7 @@ def _refuse(channel, session, reason):
 
 
 @contextmanager
-def served(agents, rho, reservation=-np.inf):
+def served(agents, reservation=-np.inf):
     """Serve each agent on its own local :class:`AgentServer` and yield one
     connected :class:`RemoteAgent` session per agent, in agent order.  On exit
     every session says ``bye`` and every server stops."""
@@ -329,7 +322,7 @@ def served(agents, rho, reservation=-np.inf):
     try:
         for agent in agents:
             servers.append(AgentServer(agent, reservation=reservation).start())
-            remotes.append(RemoteAgent(servers[-1].address, dim=agent.dim, rho=rho))
+            remotes.append(RemoteAgent(servers[-1].address, dim=agent.dim))
         yield remotes
     finally:
         for remote in remotes:
@@ -344,31 +337,29 @@ class RemoteAgent:
 
     _counter = 0
 
-    def __init__(self, address, dim, rho, timeout=DEFAULT_TIMEOUT):
+    def __init__(self, address, dim, timeout=DEFAULT_TIMEOUT):
         RemoteAgent._counter += 1
         self.dim = dim
-        self.rho = rho
         self.timeout = timeout
         self.agent_id = f"agent-{RemoteAgent._counter}"
         self.session = f"session-{RemoteAgent._counter}"
         self._channel = _LineChannel(socket.create_connection(tuple(address), timeout=timeout))
-        self._channel.send(Message("hello", self.session,
-                                   payload={"dim": dim, "rho": float(rho)}))
+        self._channel.send(Message("hello", self.session, payload={"dim": dim}))
 
     def respond(self, prices, z, rho, iteration):
-        """Best response to one query.  A silent agent raises
+        """Best response to one query at penalty ``rho``.  A silent agent raises
         :class:`AgentTimeoutError`; a response echoing the wrong iteration
         raises :class:`ProtocolError`."""
-        if rho != self.rho:
-            raise ProtocolError("penalty changed mid-session; open a new session")
-        self._channel.send(Message("query", self.session, iteration=int(iteration),
-                                   payload={"dim": self.dim, "prices": prices, "z": z}))
+        self._channel.send(Message("query", self.session, payload={
+            "iteration": int(iteration), "dim": self.dim, "rho": float(rho),
+            "prices": prices, "z": z}))
         reply = self._read()
         if reply.kind != "response":
             raise ProtocolError(f"expected response, got {reply.kind}")
-        if reply.iteration != iteration:
+        echoed = reply.payload["iteration"]
+        if echoed != iteration:
             raise ProtocolError(
-                f"agent {self.agent_id} echoed iteration {reply.iteration}, expected {iteration}")
+                f"agent {self.agent_id} echoed iteration {echoed}, expected {iteration}")
         if reply.payload["dim"] != self.dim:
             raise ProtocolError("response dimension does not match the session")
         return reply.payload["plan"]

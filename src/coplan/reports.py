@@ -202,7 +202,7 @@ def _run_vcg(scenario, retailer_at, supplier_at, status_quo, plan):
     diagnosis = budget_balance_check(fee_free)
     accepted = report.supplier_accepts
     if scenario.mode == "protocol":  # the supplier's server takes or leaves the offer
-        with served([SupplierAgent(scenario.supplier)], scenario.consensus.rho,
+        with served([SupplierAgent(scenario.supplier)],
                     reservation=supplier_at(status_quo.supplier_plan).value) as (remote,):
             accepted = remote.offer(report.plan, report.transfer_supplier)
     payload = {

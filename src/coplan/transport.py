@@ -214,6 +214,10 @@ def solve_transport(costs, row_bounds, col_requirements, slack_penalty=None):
             f"requirements total {total_req} exceed capacity {total_bound} and no slack penalty is set"
         )
 
+    if rows == 0 and not use_slack:  # no source and, past the check above, nothing to ship
+        return TransportSolution(flow=np.zeros((0, cols)), objective=0.0, row_duals=np.zeros(0),
+                                 col_duals=np.zeros(cols), slack_flow=np.zeros(cols))
+
     # Balanced tableau: optional slack row, then a free-disposal dummy column.
     tab_costs = np.zeros((rows + use_slack, cols + 1))
     tab_costs[:rows, :cols] = c

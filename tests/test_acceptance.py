@@ -239,7 +239,7 @@ def test_acceptance_6_protocol_parity():
 
     servers = [AgentServer(RetailerAgent(toy.retailer)).start(),
                AgentServer(SupplierAgent(toy.supplier)).start()]
-    remotes = [RemoteAgent(s.address, dim=2, rho=cfg.rho) for s in servers]
+    remotes = [RemoteAgent(s.address, dim=2) for s in servers]
     try:
         wire = run_consensus(remotes, cfg)
     finally:
@@ -257,7 +257,7 @@ def test_acceptance_6_protocol_parity():
     menu = build_menu(toy.retailer, status_quo, toy.menu_plans, alpha=50.0)
     choice = supplier_choose(toy.supplier, menu, reservation=reservation)
     server = AgentServer(SupplierAgent(toy.supplier), reservation=reservation).start()
-    remote = RemoteAgent(server.address, dim=2, rho=1.0)
+    remote = RemoteAgent(server.address, dim=2)
     try:
         assert remote.offer(choice.plan, choice.fee) is choice.accepted is True
         assert remote.offer(choice.plan, choice.fee + 1000.0) is False

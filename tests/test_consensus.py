@@ -247,7 +247,7 @@ def test_trace_records_are_line_delimited(toy_retailer, toy_supplier):
     lines = buf.getvalue().strip().splitlines()
     assert len(lines) == res.iterations
     first = json.loads(lines[0])
-    assert set(first) == {"iteration", "z", "r_primal", "r_dual"}
+    assert set(first) == {"iteration", "z", "r_primal", "r_dual", "rho"}
 
 
 def test_endpoint_parity_with_direct_best_response(toy_supplier):

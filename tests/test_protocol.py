@@ -32,24 +32,25 @@ def random_message(rng):
     session = f"s{int(rng.integers(0, 1000))}"
     dim = int(rng.integers(1, 6))
     vec = lambda: rng.normal(scale=100.0, size=dim)
+    iteration = int(rng.integers(0, 10_000))
     if kind == "hello":
-        payload = {"dim": dim, "rho": float(rng.uniform(0.1, 10))}
+        payload = {"dim": dim}
     elif kind == "query":
-        payload = {"dim": dim, "prices": vec(), "z": vec()}
+        payload = {"iteration": iteration, "dim": dim, "rho": float(rng.uniform(0.1, 10)),
+                   "prices": vec(), "z": vec()}
     elif kind == "response":
-        payload = {"dim": dim, "plan": vec()}
+        payload = {"iteration": iteration, "dim": dim, "plan": vec()}
     elif kind == "offer":
         payload = {"dim": dim, "plan": vec(), "fee": float(rng.normal(scale=50))}
     elif kind == "error":
         payload = {"reason": "test-reason"}
     else:
         payload = {}
-    iteration = int(rng.integers(0, 10_000)) if kind in ("query", "response") else None
-    return Message(kind=kind, session=session, iteration=iteration, payload=payload)
+    return Message(kind=kind, session=session, payload=payload)
 
 
 def assert_messages_equal(a, b):
-    assert a.kind == b.kind and a.session == b.session and a.iteration == b.iteration
+    assert a.kind == b.kind and a.session == b.session
     assert set(a.payload) == set(b.payload)
     for key, val in a.payload.items():
         other = b.payload[key]
@@ -82,8 +83,11 @@ def test_parse_errors():
         decode(b'{"kind":"warp","session":"s1"}')
     with pytest.raises(ParseError, match="dimension-mismatch"):
         decode(b'{"kind":"response","session":"s1","iteration":1,"dim":3,"plan":[1.0,2.0]}')
-    with pytest.raises(ParseError):
-        decode(b'{"kind":"hello","session":"s1","dim":2,"rho":NaN}')
+    with pytest.raises(ParseError, match="non-finite"):
+        decode(b'{"kind":"query","session":"s1","iteration":1,"dim":1,"rho":NaN,'
+               b'"prices":[0.0],"z":[0.0]}')
+    with pytest.raises(ParseError, match="iteration must be a nonnegative integer"):
+        decode(b'{"kind":"response","session":"s1","iteration":-1,"dim":1,"plan":[0.0]}')
     with pytest.raises(ParseError):
         decode(b'{"kind":"bye","session":"s1","stray":1}')
     with pytest.raises(ParseError):
@@ -114,7 +118,7 @@ def toy_supplier_server(toy_supplier):
 
 def test_served_response_matches_in_process(toy_supplier, toy_supplier_server):
     agent = SupplierAgent(toy_supplier)
-    remote = RemoteAgent(toy_supplier_server.address, dim=2, rho=1.0)
+    remote = RemoteAgent(toy_supplier_server.address, dim=2)
     rng = np.random.default_rng(7)
     warm = None
     for it in range(1, 5):
@@ -128,34 +132,32 @@ def test_served_response_matches_in_process(toy_supplier, toy_supplier_server):
 
 
 def test_offer_accept_and_decline(toy_supplier, toy_supplier_server):
-    remote = RemoteAgent(toy_supplier_server.address, dim=2, rho=1.0)
+    remote = RemoteAgent(toy_supplier_server.address, dim=2)
     # net 1540 - 80 = 1460 >= standalone 1390
     assert remote.offer([10.0, 90.0], 80.0) is True
     remote.close()
-    remote = RemoteAgent(toy_supplier_server.address, dim=2, rho=1.0)
+    remote = RemoteAgent(toy_supplier_server.address, dim=2)
     # fee exceeds the supplier's gain at this plan
     assert remote.offer([10.0, 90.0], 151.0) is False
     remote.close()
 
 
-def test_consensus_over_wire_matches_in_process(toy_retailer, toy_supplier):
-    cfg = ConsensusConfig(eps_abs=1e-6, eps_rel=1e-6, initial_plan=np.array([40.0, 60.0]))
-    local = run_consensus([RetailerAgent(toy_retailer), SupplierAgent(toy_supplier)], cfg)
-
-    servers = [AgentServer(RetailerAgent(toy_retailer)).start(),
-               AgentServer(SupplierAgent(toy_supplier)).start()]
-    remotes = [RemoteAgent(s.address, dim=2, rho=cfg.rho) for s in servers]
-    try:
-        wire = run_consensus(remotes, cfg)
-    finally:
-        for r in remotes:
-            r.close()
-        for s in servers:
-            s.stop()
+@pytest.mark.parametrize("adapt_rho", [False, True])
+def test_consensus_over_wire_matches_in_process(toy_retailer, toy_supplier, adapt_rho):
+    cfg = ConsensusConfig(eps_abs=1e-6, eps_rel=1e-6, adapt_rho=adapt_rho,
+                          initial_plan=np.array([40.0, 60.0]))
+    local_trace, wire_trace = [], []
+    local = run_consensus([RetailerAgent(toy_retailer), SupplierAgent(toy_supplier)], cfg,
+                          trace=local_trace.append)
+    with protocol.served([RetailerAgent(toy_retailer), SupplierAgent(toy_supplier)]) as remotes:
+        wire = run_consensus(remotes, cfg, trace=wire_trace.append)
 
     assert np.array_equal(wire.plan, local.plan)
     assert wire.iterations == local.iterations
     assert np.array_equal(wire.residual_history, local.residual_history)
+    assert wire_trace == local_trace
+    # an adaptive run changes the penalty mid-session, a fixed one never does
+    assert (len({r["rho"] for r in wire_trace}) > 1) == adapt_rho
 
 
 def test_silent_agent_times_out():
@@ -168,7 +170,7 @@ def test_silent_agent_times_out():
 
     thread = threading.Thread(target=mute, daemon=True)
     thread.start()
-    remote = RemoteAgent(listener.getsockname(), dim=2, rho=1.0, timeout=0.3)
+    remote = RemoteAgent(listener.getsockname(), dim=2, timeout=0.3)
     with pytest.raises(AgentTimeoutError):
         remote.respond(np.zeros(2), np.zeros(2), 1.0, 1)
     listener.close()
@@ -187,26 +189,27 @@ def test_wrong_iteration_echo_is_protocol_error():
             buf += conn.recv(65536)
         line, _ = buf.split(b"\n", 1)
         query = decode(line)
-        reply = Message("response", query.session, iteration=query.iteration + 1,
-                        payload={"dim": 2, "plan": [0.0, 0.0]})
+        reply = Message("response", query.session,
+                        payload={"iteration": query.payload["iteration"] + 1, "dim": 2,
+                                 "plan": [0.0, 0.0]})
         conn.sendall(encode(reply))
         conn.close()
 
     thread = threading.Thread(target=bad_echo, daemon=True)
     thread.start()
-    remote = RemoteAgent(listener.getsockname(), dim=2, rho=1.0)
+    remote = RemoteAgent(listener.getsockname(), dim=2)
     with pytest.raises(ProtocolError, match="echoed iteration"):
         remote.respond(np.zeros(2), np.zeros(2), 1.0, 1)
     listener.close()
 
 
 def test_dimension_mismatch_session_is_rejected(toy_supplier, toy_supplier_server):
-    remote = RemoteAgent(toy_supplier_server.address, dim=3, rho=1.0)
+    remote = RemoteAgent(toy_supplier_server.address, dim=3)
     with pytest.raises(ProtocolError):
         remote.respond(np.zeros(3), np.zeros(3), 1.0, 1)
 
 
-HELLO = Message("hello", "s1", payload={"dim": 2, "rho": 1.0})
+HELLO = Message("hello", "s1", payload={"dim": 2})
 
 
 def exchange(address, *messages):
@@ -232,6 +235,31 @@ def test_overlong_line_gets_error_and_closes_session(toy_supplier_server):
     assert "exceeds" in replies[0].payload["reason"]
 
 
+def test_hello_carrying_rho_is_refused(toy_supplier_server):
+    # the penalty rides in each query; a session-wide rho is not a field of hello
+    replies = exchange(toy_supplier_server.address,
+                       b'{"kind":"hello","session":"s1","dim":2,"rho":1.0}\n')
+    assert [r.kind for r in replies] == ["error"]
+    assert "unexpected fields" in replies[0].payload["reason"]
+
+
+def test_query_at_nonpositive_rho_gets_error_and_server_lives_on(toy_supplier,
+                                                                 toy_supplier_server):
+    query = Message("query", "s1", payload={"iteration": 1, "dim": 2, "rho": 0.0,
+                                            "prices": [0.0, 0.0], "z": [10.0, 90.0]})
+    replies = exchange(toy_supplier_server.address, HELLO, query)
+    # one error and nothing after it: the server closed the session
+    assert [r.kind for r in replies] == ["error"]
+    assert "rho must be positive" in replies[0].payload["reason"]
+    remote = RemoteAgent(toy_supplier_server.address, dim=2)
+    try:
+        got = remote.respond(np.zeros(2), np.array([10.0, 90.0]), 1.0, 1)
+    finally:
+        remote.close()
+    want = best_response(SupplierAgent(toy_supplier), np.zeros(2), np.array([10.0, 90.0]), 1.0)
+    assert np.array_equal(got, want.plan)
+
+
 def test_offer_of_wrong_dimension_gets_error(toy_supplier_server):
     offer = Message("offer", "s1", payload={"dim": 3, "plan": [1.0, 2.0, 3.0], "fee": 0.0})
     replies = exchange(toy_supplier_server.address, HELLO, offer)
@@ -239,7 +267,7 @@ def test_offer_of_wrong_dimension_gets_error(toy_supplier_server):
 
 
 def test_offer_with_negative_entry_gets_error(toy_supplier_server):
-    remote = RemoteAgent(toy_supplier_server.address, dim=2, rho=1.0)
+    remote = RemoteAgent(toy_supplier_server.address, dim=2)
     try:
         with pytest.raises(ProtocolError, match="nonnegative"):
             remote.offer([-5.0, 10.0], 0.0)
@@ -249,7 +277,7 @@ def test_offer_with_negative_entry_gets_error(toy_supplier_server):
 
 def test_offer_beyond_capacity_is_declined(toy_supplier):
     server = AgentServer(SupplierAgent(toy_supplier)).start()  # reservation -inf
-    remote = RemoteAgent(server.address, dim=2, rho=1.0)
+    remote = RemoteAgent(server.address, dim=2)
     try:
         assert remote.offer([100.0, 100.0], 0.0) is False  # capacity is 110
         assert remote.offer([10.0, 90.0], 0.0) is True     # the session lives on
@@ -273,12 +301,12 @@ def test_failed_query_gets_error_and_server_lives_on(toy_supplier):
     agent = StallingSupplier(toy_supplier)
     server = AgentServer(agent).start()
     try:
-        remote = RemoteAgent(server.address, dim=2, rho=1.0)
+        remote = RemoteAgent(server.address, dim=2)
         with pytest.raises(ProtocolError, match="did not converge"):
             remote.respond(np.zeros(2), np.array([10.0, 90.0]), 1.0, 1)
         remote.close()
         agent.stall = False
-        remote = RemoteAgent(server.address, dim=2, rho=1.0)
+        remote = RemoteAgent(server.address, dim=2)
         got = remote.respond(np.zeros(2), np.array([10.0, 90.0]), 1.0, 1)
         remote.close()
         want = best_response(SupplierAgent(toy_supplier), np.zeros(2), np.array([10.0, 90.0]), 1.0)
@@ -294,16 +322,16 @@ def test_connection_past_the_session_cap_gets_server_busy(toy_supplier, toy_supp
     threads = threading.active_count()
     first = socket.create_connection(address, timeout=10.0)
     first.sendall(encode(HELLO))
-    idle = [RemoteAgent(address, dim=2, rho=1.0) for _ in range(protocol.MAX_SESSIONS - 1)]
+    idle = [RemoteAgent(address, dim=2) for _ in range(protocol.MAX_SESSIONS - 1)]
     try:
-        busy = RemoteAgent(address, dim=2, rho=1.0)
+        busy = RemoteAgent(address, dim=2)
         with pytest.raises(ProtocolError, match="server busy"):
             busy.respond(np.zeros(2), np.array([10.0, 90.0]), 1.0, 1)
         busy.close()
         assert threading.active_count() - threads <= protocol.MAX_SESSIONS
         first.sendall(encode(Message("bye", "s1")))
         assert first.recv(1) == b""  # the server ended that session
-        idle.append(RemoteAgent(address, dim=2, rho=1.0))
+        idle.append(RemoteAgent(address, dim=2))
         got = idle[-1].respond(np.zeros(2), np.array([10.0, 90.0]), 1.0, 1)
         want = best_response(SupplierAgent(toy_supplier), np.zeros(2), np.array([10.0, 90.0]), 1.0)
         assert np.array_equal(got, want.plan)

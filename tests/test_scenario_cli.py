@@ -123,9 +123,9 @@ def test_protocol_fee_replan_goes_over_the_wire(toy, monkeypatch):
 
     sessions = []
 
-    def served(agents, rho, **kwargs):
+    def served(agents, **kwargs):
         sessions.append([getattr(agent, "fee", None) for agent in agents])
-        return protocol.served(agents, rho, **kwargs)
+        return protocol.served(agents, **kwargs)
 
     monkeypatch.setattr(reports, "served", served)
     fee = FeePolicy.multiplicative(0.2)
@@ -361,7 +361,7 @@ def test_cli_trace_goes_to_stderr(capsys):
     assert code == 0
     err = capsys.readouterr().err
     first = json.loads(err.splitlines()[0])
-    assert {"iteration", "z", "r_primal", "r_dual"} == set(first)
+    assert {"iteration", "z", "r_primal", "r_dual", "rho"} == set(first)
 
 
 def test_schema_rejects_nonpositive_rho(toy):
@@ -371,12 +371,20 @@ def test_schema_rejects_nonpositive_rho(toy):
         scenario_from_dict(doc)
 
 
-def test_protocol_mode_rejects_adaptive_penalty(toy):
-    from dataclasses import replace
-    bad = replace(toy, mode="protocol",
-                  consensus=replace(toy.consensus, adapt_rho=True))
-    with pytest.raises(ParameterError, match="pin"):
-        run(bad, analyses=["firstbest"])
+@pytest.mark.parametrize("fee", [mechanism.FeePolicy.additive(50.0),
+                                 mechanism.FeePolicy.multiplicative(0.2),
+                                 mechanism.FeePolicy.linear_deviation(5, 2)],
+                         ids=lambda fee: fee.variant)
+def test_protocol_mode_runs_adaptive_penalty_as_cpp(toy, fee):
+    adaptive = replace(toy, fee=fee, consensus=replace(toy.consensus, adapt_rho=True))
+    analyses = ["jit", "firstbest", "vcg"]
+    rhos = []
+    cpp = run(replace(adaptive, mode="cpp"), analyses=analyses).machine
+    wire = run(replace(adaptive, mode="protocol"), analyses=analyses,
+               trace=lambda record: rhos.append(record["rho"])).machine
+    assert len(set(rhos)) > 1  # the penalty moved mid-session
+    assert (cpp.pop("mode"), wire.pop("mode")) == ("cpp", "protocol")
+    assert wire == cpp
 
 
 def test_dynamic_scenario_roundtrip():

@@ -48,6 +48,19 @@ def test_infeasible_without_slack():
         solve_transport([[1.0, 2.0]], [5.0], [4.0, 3.0])
 
 
+def test_no_rows_and_no_slack_is_the_empty_solution():
+    # a supplier with no sources ships nothing; there is no initial basis to
+    # build, so the solver returns the empty solution directly
+    ev = supplier_utility(SupplierSpec(capacities=[], arc_costs=np.zeros((0, 2)),
+                                       gross_profit=[1.0, 1.0]), [0.0, 0.0])
+    sol = ev.transport
+    assert ev.value == 0.0 and sol.objective == 0.0 and sol.flow.shape == (0, 2)
+    assert sol.row_duals.shape == (0,) and np.array_equal(sol.col_duals, np.zeros(2))
+    assert np.array_equal(sol.slack_flow, np.zeros(2))
+    with pytest.raises(InfeasibleError):
+        solve_transport(np.zeros((0, 2)), [], [1.0, 0.0])
+
+
 def test_dimension_mismatch():
     with pytest.raises(DimensionError):
         solve_transport([[1.0, 2.0]], [5.0, 1.0], [4.0, 3.0])

@@ -30,9 +30,10 @@ result = run_consensus([RetailerAgent(retailer), SupplierAgent(supplier)],
                        config, trace=trace_rows.append)
 
 print(f"converged in {result.iterations} iterations: plan {np.round(result.plan, 4)}")
-print(f"retailer utility ${result.utilities[0]:,.2f}, "
-      f"supplier utility ${result.utilities[1]:,.2f}, "
-      f"joint ${result.joint_utility:,.2f}")
+# the coordinator learns only the plan; pricing it takes each side's own data
+retailer_value, supplier_value = retailer(result.plan).value, supplier(result.plan).value
+print(f"retailer utility ${retailer_value:,.2f}, supplier utility ${supplier_value:,.2f}, "
+      f"joint ${retailer_value + supplier_value:,.2f}")
 print("\niteration trace (every 20th):")
 for row in trace_rows[::20]:
     z = ", ".join(f"{v:8.3f}" for v in row["z"])

@@ -80,7 +80,6 @@ class SupplierAgent(PlanAgent):
 @dataclass(frozen=True)
 class BestResponse:
     plan: np.ndarray
-    objective: float   # u(plan) - prices@plan - (rho/2)||plan - z||^2
     gap: float         # certified optimality gap of the proximal objective
     evaluations: int
 
@@ -95,7 +94,8 @@ def best_response(agent, prices, z, rho, start=None):
     utility, whose size sets the bound's rounding error even when the
     objective is near zero.  Piecewise-linear utilities terminate finitely.
     Agents with special structure may expose an exact ``prox_respond``, which
-    takes precedence over the cutting-plane loop.
+    takes precedence over the cutting-plane loop and answers without an
+    evaluation.
     """
     prices = np.asarray(prices, dtype=float)
     z = np.asarray(z, dtype=float)
@@ -107,10 +107,7 @@ def best_response(agent, prices, z, rho, start=None):
         raise ParameterError("penalty rho must be positive")
     prox = getattr(agent, "prox_respond", None)
     if prox is not None:
-        plan = prox(prices, z, rho)
-        value = float(agent.evaluate(plan)[0])
-        objective = value - prices @ plan - 0.5 * rho * float(np.sum((plan - z) ** 2))
-        return BestResponse(plan=plan, objective=objective, gap=0.0, evaluations=1)
+        return BestResponse(plan=prox(prices, z, rho), gap=0.0, evaluations=0)
 
     center = z - prices / rho
     # (rho/2)(center @ center - z @ z), without the cancellation of its two terms
@@ -138,8 +135,7 @@ def best_response(agent, prices, z, rho, start=None):
         upper = model_val + shift
         gap = upper - best_val
         if gap <= _BR_GAP_TOL * (1.0 + abs(best_val) + size):
-            return BestResponse(plan=best_x, objective=best_val, gap=max(gap, 0.0),
-                                evaluations=k + 1)
+            return BestResponse(plan=best_x, gap=max(gap, 0.0), evaluations=k + 1)
         x = xm
     raise NonConvergenceError(
         f"best response did not close its gap within {_BR_MAX_EVALS} evaluations (gap {gap:.3e})"
@@ -158,11 +154,6 @@ class LocalEndpoint:
         br = best_response(self.agent, prices, z, rho, start=self._last)
         self._last = br.plan
         return br.plan
-
-    def utility(self, plan):
-        # Consensus iterates can sit a hair outside the agent's feasible set;
-        # score the nearest plan the agent could actually execute.
-        return float(self.agent.evaluate(self.agent.project(plan))[0])
 
 
 @dataclass(frozen=True)
@@ -215,14 +206,11 @@ def coordinator_step(state, responses):
 @dataclass(frozen=True)
 class ConsensusResult:
     plan: np.ndarray
-    utilities: list          # per-agent utility at the final plan (None if remote)
     iterations: int
     r_primal: float
     r_dual: float
     converged: bool
-    residual_history: np.ndarray   # (iterations, 2) of (r_primal, r_dual)
-    joint_utility: float | None = None
-    prices: np.ndarray | None = None   # final per-agent price vectors
+    prices: np.ndarray    # final per-agent price vectors
 
 
 def run_consensus(agents, config=None, trace=None):
@@ -232,8 +220,9 @@ def run_consensus(agents, config=None, trace=None):
     endpoint exposing ``respond(prices, z, rho, iteration)``.  ``trace`` is an
     optional callable or writable stream receiving one structured record per
     iteration: its number, ``z``, both residuals and the ``rho`` the next
-    queries carry.  A run that exhausts ``max_iters`` returns its best state
-    with ``converged=False`` rather than raising.
+    queries carry.  The run reads only the endpoints' answers and evaluates
+    no utility of its own.  A run that exhausts ``max_iters`` returns its
+    last state with ``converged=False`` rather than raising.
     """
     config = config or ConsensusConfig()
     if not agents:
@@ -262,7 +251,6 @@ def run_consensus(agents, config=None, trace=None):
     emit = _trace_emitter(trace)
     state = ConsensusState(iteration=0, z=z, prices=prices,
                            r_primal=np.inf, r_dual=np.inf, rho=config.rho)
-    history = []
     converged = False
     for it in range(1, config.max_iters + 1):
         responses = [ep.respond(state.prices[m], state.z, state.rho, it)
@@ -271,7 +259,6 @@ def run_consensus(agents, config=None, trace=None):
         if config.adapt_rho and it % _ADAPT_EVERY == 0:
             state = _rebalance_rho(state, lo=config.rho / _ADAPT_SPAN,
                                    hi=config.rho * _ADAPT_SPAN)
-        history.append((state.r_primal, state.r_dual))
         if emit:
             emit({"iteration": state.iteration, "z": state.z.tolist(),
                   "r_primal": state.r_primal, "r_dual": state.r_dual, "rho": state.rho})
@@ -281,19 +268,12 @@ def run_consensus(agents, config=None, trace=None):
             converged = True
             break
 
-    plan = np.maximum(state.z, 0.0)
-    utilities = [ep.utility(plan) if hasattr(ep, "utility") else None for ep in endpoints]
-    joint = sum(u for u in utilities if u is not None) if all(
-        u is not None for u in utilities) else None
     return ConsensusResult(
-        plan=plan,
-        utilities=utilities,
+        plan=np.maximum(state.z, 0.0),
         iterations=state.iteration,
         r_primal=state.r_primal,
         r_dual=state.r_dual,
         converged=converged,
-        residual_history=np.asarray(history),
-        joint_utility=joint,
         prices=state.prices.copy(),
     )
 

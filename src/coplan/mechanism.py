@@ -292,7 +292,6 @@ class SettlementReport:
     """Everything the principal needs to book one coordinated settlement."""
 
     plan: np.ndarray
-    status_quo: StatusQuo
     fee: FeePolicy
     retailer_value_plan: float       # retailer utility at the settled plan
     supplier_value_plan: float
@@ -337,7 +336,7 @@ def vcg_transfers(retailer, supplier, status_quo, x_star, fee=None):
     supplier_surplus = ev_s_star.value - t_supplier - u_s_sq
     retailer_surplus = (ev_a_star.value + t_supplier) - u_a_sq
     return SettlementReport(
-        plan=x_star, status_quo=status_quo, fee=fee,
+        plan=x_star, fee=fee,
         retailer_value_plan=ev_a_star.value, supplier_value_plan=ev_s_star.value,
         retailer_value_standalone=u_a_sq, supplier_value_standalone=u_s_sq,
         transfer_supplier=t_supplier, transfer_retailer=t_retailer, fee_term=fee_term,
@@ -398,7 +397,6 @@ class MenuChoice:
     index: int | None
     plan: np.ndarray | None
     fee: float | None
-    net_value: float | None
     option_values: tuple        # supplier utility per option (-inf if unfillable)
     option_nets: tuple          # utility minus the option's fee
     option_alpha_nets: tuple    # utility minus the flat fee only
@@ -421,7 +419,6 @@ def supplier_choose(supplier, menu, reservation=-np.inf):
     options = dict(option_values=tuple(values), option_nets=tuple(nets),
                    option_alpha_nets=tuple(alpha_nets))
     if not np.isfinite(nets[best]) or nets[best] < reservation - _TOL:
-        return MenuChoice(accepted=False, index=None, plan=None, fee=None, net_value=None,
-                          **options)
+        return MenuChoice(accepted=False, index=None, plan=None, fee=None, **options)
     return MenuChoice(accepted=True, index=best, plan=menu.plans[best],
-                      fee=menu.fees[best], net_value=nets[best], **options)
+                      fee=menu.fees[best], **options)

@@ -199,6 +199,22 @@ class SupplierValueOracle:
 
 
 # ---------------------------------------------------------------------------
+# Values of consensus answers, computed from the agents' own evaluations.
+
+def prox_objective(agent, plan, prices, z, rho):
+    """The proximal objective ``u(x) - prices @ x - (rho/2) ||x - z||^2`` that
+    a best response maximizes, at ``plan``."""
+    value = float(agent.evaluate(plan)[0])
+    return value - prices @ plan - 0.5 * rho * float(np.sum((plan - z) ** 2))
+
+
+def joint_utility(agents, plan):
+    """Summed agent utilities at a consensus plan; a consensus iterate can sit
+    a hair outside an agent's feasible set, so each scores its projection."""
+    return sum(float(agent.evaluate(agent.project(plan))[0]) for agent in agents)
+
+
+# ---------------------------------------------------------------------------
 # Centralized joint-LP oracle (scipy HiGHS) for the socially efficient plan.
 
 def solve_joint_lp(retailer, supplier, order_cap=True, scale=1.0, reference=None,

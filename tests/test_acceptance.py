@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from conftest import enumerate_min_cost, random_bilateral, solve_joint_lp
+from conftest import enumerate_min_cost, joint_utility, random_bilateral, solve_joint_lp
 from coplan.consensus import ConsensusConfig, RetailerAgent, SupplierAgent, run_consensus
 from coplan.dynamic import (
     InventoryModel,
@@ -92,11 +92,12 @@ def test_acceptance_3_consensus_matches_centralized():
     toy = load_scenario("toy")
     t0 = time.perf_counter()
     cfg = replace(toy.consensus, initial_plan=np.array([40.0, 60.0]))
-    res = run_consensus([RetailerAgent(toy.retailer), SupplierAgent(toy.supplier)], cfg)
+    agents = [RetailerAgent(toy.retailer), SupplierAgent(toy.supplier)]
+    res = run_consensus(agents, cfg)
     assert time.perf_counter() - t0 < budget_per_instance
     assert np.all(np.abs(res.plan - [10.0, 90.0]) <= 0.05)
     _, toy_joint_lp = solve_joint_lp(toy.retailer, toy.supplier)
-    assert abs(res.joint_utility - toy_joint_lp) <= 1e-3 * abs(toy_joint_lp)
+    assert abs(joint_utility(agents, res.plan) - toy_joint_lp) <= 1e-3 * abs(toy_joint_lp)
 
     rng = np.random.default_rng(2024)
     for _ in range(20):
@@ -235,13 +236,15 @@ def test_acceptance_6_protocol_parity():
     started = time.perf_counter()
     toy = load_scenario("toy")
     cfg = replace(toy.consensus, initial_plan=np.array([40.0, 60.0]))
-    local = run_consensus([RetailerAgent(toy.retailer), SupplierAgent(toy.supplier)], cfg)
+    local_trace, wire_trace = [], []
+    local = run_consensus([RetailerAgent(toy.retailer), SupplierAgent(toy.supplier)], cfg,
+                          trace=local_trace.append)
 
     servers = [AgentServer(RetailerAgent(toy.retailer)).start(),
                AgentServer(SupplierAgent(toy.supplier)).start()]
     remotes = [RemoteAgent(s.address, dim=2) for s in servers]
     try:
-        wire = run_consensus(remotes, cfg)
+        wire = run_consensus(remotes, cfg, trace=wire_trace.append)
     finally:
         for r in remotes:
             r.close()
@@ -249,7 +252,7 @@ def test_acceptance_6_protocol_parity():
             s.stop()
     assert np.array_equal(wire.plan, local.plan)
     assert wire.iterations == local.iterations
-    assert np.array_equal(wire.residual_history, local.residual_history)
+    assert wire_trace == local_trace   # every proposal, residual and penalty
 
     # offers against the worked-example menu reproduce the in-process choice
     status_quo = standalone_plans(toy.retailer, toy.supplier)

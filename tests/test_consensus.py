@@ -7,6 +7,8 @@ import pytest
 from conftest import (
     RetailerValueOracle,
     SupplierValueOracle,
+    joint_utility,
+    prox_objective,
     random_bilateral,
     solve_joint_lp,
 )
@@ -69,7 +71,7 @@ def test_best_response_retailer_matches_grid(toy_retailer, retailer_oracle):
     scores = retailer_oracle(pts) - 0.5 * np.sum((pts - z) ** 2, axis=1)
     grid_best = pts[np.argmax(scores)]
     assert np.all(np.abs(br.plan - grid_best) <= 0.25 + 1e-9)
-    assert br.objective >= scores.max() - 1e-9
+    assert prox_objective(agent, br.plan, np.zeros(2), z, 1.0) >= scores.max() - 1e-9
 
 
 def test_best_response_supplier_dominates_grid(toy_supplier, supplier_oracle):
@@ -84,7 +86,7 @@ def test_best_response_supplier_dominates_grid(toy_supplier, supplier_oracle):
         z = rng.uniform(0, 80, size=2)
         br = best_response(agent, prices, z, rho=1.0)
         scores = supplier_oracle(pts) - pts @ prices - 0.5 * np.sum((pts - z) ** 2, axis=1)
-        assert br.objective >= scores.max() - 1e-9
+        assert prox_objective(agent, br.plan, prices, z, 1.0) >= scores.max() - 1e-9
 
 
 def test_best_response_rejects_bad_inputs(toy_retailer, monkeypatch):
@@ -143,10 +145,11 @@ TOY_CONFIG = ConsensusConfig(eps_abs=1e-6, eps_rel=1e-6)
 
 def test_toy_consensus_reaches_first_best(toy_retailer, toy_supplier):
     cfg = ConsensusConfig(eps_abs=1e-6, eps_rel=1e-6, initial_plan=np.array([40.0, 60.0]))
-    res = run_consensus([RetailerAgent(toy_retailer), SupplierAgent(toy_supplier)], cfg)
+    agents = [RetailerAgent(toy_retailer), SupplierAgent(toy_supplier)]
+    res = run_consensus(agents, cfg)
     assert res.converged
     assert np.all(np.abs(res.plan - [10.0, 90.0]) <= 0.05)
-    assert res.joint_utility == pytest.approx(3290.0, abs=0.5)
+    assert joint_utility(agents, res.plan) == pytest.approx(3290.0, abs=0.5)
 
 
 def test_toy_consensus_plan_beats_nearby_lattice(toy_retailer, toy_supplier):
@@ -166,10 +169,11 @@ def test_toy_consensus_plan_beats_nearby_lattice(toy_retailer, toy_supplier):
 
 def test_single_agent_consensus_is_standalone_argmax(toy_retailer):
     cfg = ConsensusConfig(eps_abs=1e-6, eps_rel=1e-6, initial_plan=np.array([40.0, 60.0]))
-    res = run_consensus([RetailerAgent(toy_retailer)], cfg)
+    agent = RetailerAgent(toy_retailer)
+    res = run_consensus([agent], cfg)
     assert res.converged
     assert np.all(np.abs(res.plan - [40.0, 60.0]) <= 1e-3)
-    assert res.utilities[0] == pytest.approx(1780.0, abs=1e-6)
+    assert joint_utility([agent], res.plan) == pytest.approx(1780.0, abs=1e-6)
 
 
 def test_random_bilateral_matches_centralized_lp():
@@ -195,10 +199,11 @@ def test_best_response_gap_scales_with_the_utility():
         retailer, supplier = random_bilateral(rng, max_nodes=3, cover_demand=True)
     cfg = ConsensusConfig(rho=1.0, eps_abs=1e-6, eps_rel=1e-6,
                           initial_plan=standalone_plans(retailer, supplier).retailer_plan)
-    res = run_consensus([RetailerAgent(retailer), SupplierAgent(supplier)], cfg)
+    agents = [RetailerAgent(retailer), SupplierAgent(supplier)]
+    res = run_consensus(agents, cfg)
     assert res.converged
     _, joint_lp = solve_joint_lp(retailer, supplier)
-    assert abs(res.joint_utility - joint_lp) <= 1e-3 * max(1.0, abs(joint_lp))
+    assert abs(joint_utility(agents, res.plan) - joint_lp) <= 1e-3 * max(1.0, abs(joint_lp))
 
 
 class MinOfLines(consensus.PlanAgent):
@@ -225,14 +230,61 @@ def test_best_response_certifies_a_large_utility_at_a_near_zero_objective():
         prices = agent.evaluate(z)[0] / float(z @ z) * z
         br = best_response(agent, prices, z, 1000.0)
         assert br.evaluations <= 10
-        assert br.gap <= 1e-12 * (1.0 + abs(br.objective) + abs(agent.evaluate(br.plan)[0]))
+        objective = prox_objective(agent, br.plan, prices, z, 1000.0)
+        assert br.gap <= 1e-12 * (1.0 + abs(objective) + abs(agent.evaluate(br.plan)[0]))
+
+
+class Counting(consensus.PlanAgent):
+    """Wraps an agent and counts its utility evaluations."""
+
+    def __init__(self, agent):
+        self.agent, self.dim, self.total_cap = agent, agent.dim, agent.total_cap
+        self.calls = 0
+
+    def evaluate(self, plan):
+        self.calls += 1
+        return self.agent.evaluate(plan)
+
+
+def test_a_run_evaluates_only_inside_its_best_responses(toy_retailer, toy_supplier,
+                                                         monkeypatch):
+    # regression: a run ended with one more evaluation per agent, only to fill
+    # result fields that no caller read
+    agents = [Counting(RetailerAgent(toy_retailer)), Counting(SupplierAgent(toy_supplier))]
+    spent = {id(agent): 0 for agent in agents}
+
+    def counted(agent, *args, **kwargs):
+        br = best_response(agent, *args, **kwargs)
+        spent[id(agent)] += br.evaluations
+        return br
+
+    monkeypatch.setattr(consensus, "best_response", counted)
+    cfg = ConsensusConfig(eps_abs=1e-4, eps_rel=1e-4, initial_plan=np.array([40.0, 60.0]))
+    assert run_consensus(agents, cfg).converged
+    for agent in agents:
+        assert agent.calls == spent[id(agent)] > 0
+
+
+def test_an_exact_prox_answers_without_an_evaluation(toy_supplier):
+    # regression: an exact prox answer was evaluated once, only to report its
+    # objective
+    class ExactProx(Counting):
+        def prox_respond(self, prices, z, rho):
+            return self.project(z - prices / rho)
+
+    agent = ExactProx(SupplierAgent(toy_supplier))
+    br = best_response(agent, np.array([4.0, -4.0]), np.array([10.0, 90.0]), 2.0)
+    assert np.array_equal(br.plan, agent.project(np.array([8.0, 92.0])))
+    assert (br.gap, br.evaluations, agent.calls) == (0.0, 0, 0)
 
 
 def test_residual_trend_is_nonincreasing(toy_retailer, toy_supplier):
     cfg = ConsensusConfig(eps_abs=1e-7, eps_rel=1e-7, initial_plan=np.zeros(2))
-    res = run_consensus([RetailerAgent(toy_retailer), SupplierAgent(toy_supplier)], cfg)
+    records = []
+    res = run_consensus([RetailerAgent(toy_retailer), SupplierAgent(toy_supplier)], cfg,
+                        trace=records.append)
     assert res.converged
-    r_p = res.residual_history[:, 0]
+    r_p = np.array([record["r_primal"] for record in records])
     samples = r_p[49::25]
     assert len(samples) >= 3  # long enough for the trend to be meaningful
     for earlier, later in zip(samples, samples[1:]):

@@ -187,7 +187,7 @@ def test_supplier_choice_worked_example(toy_retailer, toy_supplier, toy_status_q
     assert choice.index == 2
     assert np.allclose(choice.plan, [10.0, 90.0])
     assert choice.fee == pytest.approx(80.0)
-    assert choice.net_value == pytest.approx(1460.0)
+    assert choice.option_nets[choice.index] == pytest.approx(1460.0)
     assert np.allclose(choice.option_alpha_nets, [1390.0, 1440.0, 1490.0, 1480.0])
 
 

@@ -154,8 +154,7 @@ def test_consensus_over_wire_matches_in_process(toy_retailer, toy_supplier, adap
 
     assert np.array_equal(wire.plan, local.plan)
     assert wire.iterations == local.iterations
-    assert np.array_equal(wire.residual_history, local.residual_history)
-    assert wire_trace == local_trace
+    assert wire_trace == local_trace   # every proposal, residual and penalty
     # an adaptive run changes the penalty mid-session, a fixed one never does
     assert (len({r["rho"] for r in wire_trace}) > 1) == adapt_rho
 

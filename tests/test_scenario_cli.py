@@ -246,6 +246,26 @@ def test_fee_distortion_agrees_across_modes(toy, fee, distorted):
         assert vcg["plan_distorted_by_fee"] is distorted, mode
 
 
+def test_a_fee_that_picks_a_tied_optimum_does_not_distort():
+    # regression: this multiplicative fee moves the joint LP from one tied
+    # optimum to another; centralized mode compared plans and flagged a
+    # distortion although the settled plan loses no joint utility
+    doc = {"name": "settle-147",
+           "retailer": {"demand": [71.0, 16.0], "arc_costs": [[7.0, 3.0], [9.0, 8.0]],
+                        "gross_profit_per_unit": [27.0, 17.0], "lost_sales_penalty": 1000.0},
+           "supplier": {"capacities": [77.0, 84.0, 37.0],
+                        "arc_costs": [[6.0, 5.0], [4.0, 10.0], [2.0, 6.0]],
+                        "gross_profit_per_unit": [19.0, 24.0]},
+           "fee": {"variant": "multiplicative", "beta": 0.338}, "menu_plans": None,
+           "dynamic": None, "consensus": {"rho": 1.0, "eps_abs": 1e-06, "eps_rel": 1e-06,
+                                         "max_iters": 5000, "adapt_rho": False},
+           "mode": "centralized"}
+    machine = run(scenario_from_dict(doc), analyses=["firstbest", "vcg"]).machine
+    assert machine["vcg"]["plan"] != machine["firstbest"]["plan"]
+    assert machine["vcg"]["gain"] == machine["firstbest"]["gain"]
+    assert machine["vcg"]["plan_distorted_by_fee"] is False
+
+
 def _menu_fees_off_by_one(build_menu):
     def priced(*args, **kwargs):
         menu = build_menu(*args, **kwargs)

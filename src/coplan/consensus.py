@@ -84,7 +84,7 @@ class BestResponse:
     evaluations: int
 
 
-def best_response(agent, prices, z, rho, start=None):
+def best_response(agent, prices, z, rho, cuts=None):
     """Maximize the proximal objective by cutting planes on the concave
     utility with an exact prox-model master.
 
@@ -93,9 +93,15 @@ def best_response(agent, prices, z, rho, start=None):
     evaluated point within ``_BR_GAP_TOL`` relative to the objective and the
     utility, whose size sets the bound's rounding error even when the
     objective is near zero.  Piecewise-linear utilities terminate finitely.
-    Agents with special structure may expose an exact ``prox_respond``, which
-    takes precedence over the cutting-plane loop and answers without an
-    evaluation.
+
+    ``cuts`` is a :class:`CutSet` of the agent's earlier cuts, which the loop
+    extends in place.  A cut of a fixed utility overestimates it whatever the
+    query, so a nonempty set starts the loop at its model's prox maximizer,
+    whose value is already a bound, and the next query reuses what this one
+    learned (a proximal bundle; Kiwiel, Math. Programming 46, 1990).  The
+    answer is always a point evaluated in this call.  Agents with special
+    structure may expose an exact ``prox_respond``, which takes precedence
+    over the cutting-plane loop and answers without an evaluation.
     """
     prices = np.asarray(prices, dtype=float)
     z = np.asarray(z, dtype=float)
@@ -112,12 +118,17 @@ def best_response(agent, prices, z, rho, start=None):
     center = z - prices / rho
     # (rho/2)(center @ center - z @ z), without the cancellation of its two terms
     shift = float(prices @ prices) / (2.0 * rho) - float(prices @ z)
-    x = agent.project(center if start is None else np.asarray(start, dtype=float))
+    if cuts is None:
+        cuts = CutSet()
+    if len(cuts):
+        x, model_val = maximize_cut_model(*cuts.arrays(), center, rho,
+                                          total_cap=agent.total_cap)
+        upper = model_val + shift
+    else:
+        x, upper = agent.project(center), np.inf
 
-    cuts = CutSet()
     best_val = -np.inf
     size = 0.0  # largest |u(x)| evaluated so far
-    best_x = x
     for k in range(_BR_MAX_EVALS):
         value, grad = agent.evaluate(x)
         objective = value - prices @ x - 0.5 * rho * float(np.sum((x - z) ** 2))
@@ -128,32 +139,36 @@ def best_response(agent, prices, z, rho, start=None):
         cuts.add(value - float(grad @ x), grad)
         if len(cuts) > 48:
             # drop the stalest cuts; fewer constraints only raise the model,
-            # so the certified upper bound stays valid
+            # and a bound already certified stays one
             cuts.keep_last(32)
-        xm, model_val = maximize_cut_model(*cuts.arrays(), center, rho,
-                                           total_cap=agent.total_cap)
-        upper = model_val + shift
-        gap = upper - best_val
-        if gap <= _BR_GAP_TOL * (1.0 + abs(best_val) + size):
-            return BestResponse(plan=best_x, gap=max(gap, 0.0), evaluations=k + 1)
-        x = xm
-    raise NonConvergenceError(
-        f"best response did not close its gap within {_BR_MAX_EVALS} evaluations (gap {gap:.3e})"
-    )
+        tol = _BR_GAP_TOL * (1.0 + abs(best_val) + size)
+        # a new cut only lowers the model, so the standing bound may already do
+        if upper - best_val <= tol:
+            break
+        x, model_val = maximize_cut_model(*cuts.arrays(), center, rho,
+                                          total_cap=agent.total_cap)
+        upper = min(upper, model_val + shift)
+        if upper - best_val <= tol:
+            break
+    else:
+        raise NonConvergenceError(
+            f"best response did not close its gap within {_BR_MAX_EVALS} evaluations "
+            f"(gap {upper - best_val:.3e})"
+        )
+    return BestResponse(plan=best_x, gap=max(upper - best_val, 0.0), evaluations=k + 1)
 
 
 class LocalEndpoint:
-    """In-process best-response endpoint with a warm-started solver."""
+    """In-process best-response endpoint.  It keeps its agent's cuts for the
+    whole session, so each query starts from everything earlier ones learned."""
 
     def __init__(self, agent):
         self.agent = agent
         self.dim = agent.dim
-        self._last = None
+        self._cuts = CutSet()
 
     def respond(self, prices, z, rho, iteration):
-        br = best_response(self.agent, prices, z, rho, start=self._last)
-        self._last = br.plan
-        return br.plan
+        return best_response(self.agent, prices, z, rho, cuts=self._cuts).plan
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ Canonical examples:
 """
 
 import json
+import math
 import os
 import socket
 import threading
@@ -34,6 +35,7 @@ import numpy as np
 from .consensus import LocalEndpoint
 from .errors import (AgentTimeoutError, CoplanError, InfeasibleError, ParameterError,
                      ParseError, ProtocolError)
+from .mechanism import _TOL
 
 DEFAULT_TIMEOUT = 30.0
 LISTEN_ENV_VAR = "COPLAN_LISTEN"
@@ -88,6 +90,18 @@ def _reject_constant(token):
     raise ParseError(f"non-finite number {token!r}")
 
 
+def _finite(number, name):
+    """``number`` as a finite float; an integer too large for a float (json
+    reads any run of digits) is as unusable as an infinity."""
+    try:
+        value = float(number)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ParseError(f"non-finite number in {name}")
+    return value
+
+
 def decode(line):
     """Parse one wire line into a :class:`Message`; malformed input raises
     :class:`ParseError` with a reason and byte offset."""
@@ -128,15 +142,11 @@ def decode(line):
             if not isinstance(value, list) or not all(
                     isinstance(v, (int, float)) and not isinstance(v, bool) for v in value):
                 raise ParseError(f"{name} must be a list of numbers")
-            if not all(np.isfinite(v) for v in value):
-                raise ParseError(f"{name} contains non-finite entries")
-            value = np.asarray(value, dtype=float)
+            value = np.array([_finite(v, name) for v in value], dtype=float)
         elif name in ("rho", "fee"):
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise ParseError(f"{name} must be a number")
-            if not np.isfinite(value):
-                raise ParseError(f"{name} is not finite")
-            value = float(value)
+            value = _finite(value, name)
         elif name == "reason" and not isinstance(value, str):
             raise ParseError("reason must be a string")
         payload[name] = value
@@ -195,10 +205,14 @@ class AgentServer:
 
     Each connection is one session: a ``hello`` fixes the plan dimension,
     each query is answered with the proximal best response at the query's own
-    penalty ``rho`` (by a per-session in-process endpoint, so warm starts
-    match), and a plan/fee offer is accepted when it beats the agent's
-    reservation utility (a plan the agent cannot fill is declined).  Sessions
-    end on ``bye``, disconnect or ``DEFAULT_TIMEOUT`` seconds of silence;
+    penalty ``rho`` by a per-session in-process endpoint, which keeps the
+    agent's cuts for the session as a :func:`~coplan.consensus.run_consensus`
+    run keeps them, so both answer a query sequence bit for bit alike.  A
+    plan/fee offer is accepted by the rule of
+    ``SettlementReport.supplier_accepts``: the agent's value less the fee may
+    fall short of its reservation utility by at most the settlement's
+    tolerance (a plan the agent cannot fill is declined).  Sessions end on
+    ``bye``, disconnect or ``DEFAULT_TIMEOUT`` seconds of silence;
     malformed input or a query that fails (say, at ``rho <= 0``) gets an
     ``error`` reply and the session closes, as does a connection past
     ``MAX_SESSIONS`` open sessions.  No private data of the agent ever leaves
@@ -298,7 +312,8 @@ class AgentServer:
             elif msg.kind == "offer":
                 try:
                     value = float(self.agent.evaluate(msg.payload["plan"])[0])
-                    taking = value - msg.payload["fee"] >= self.reservation
+                    # the settlement's own rule (SettlementReport.supplier_accepts)
+                    taking = value - msg.payload["fee"] - self.reservation >= -_TOL
                 except InfeasibleError:
                     taking = False
                 except ParameterError as exc:  # e.g. a negative entry

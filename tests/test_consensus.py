@@ -13,6 +13,7 @@ from conftest import (
     solve_joint_lp,
 )
 from coplan import consensus
+from coplan._qp import CutSet, maximize_cut_model
 from coplan.consensus import (
     ConsensusConfig,
     ConsensusState,
@@ -278,6 +279,52 @@ def test_an_exact_prox_answers_without_an_evaluation(toy_supplier):
     assert (br.gap, br.evaluations, agent.calls) == (0.0, 0, 0)
 
 
+def test_kept_cuts_answer_as_a_cold_best_response_within_the_certificate():
+    # cuts kept from query to query still overestimate the fixed utility, so
+    # each warm answer certifies its gap, and that gap covers the distance to
+    # a cold answer's objective (each objective is at most the other's bound)
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        n, K = int(rng.integers(1, 4)), int(rng.integers(2, 8))
+        agent = MinOfLines(rng.integers(-500, 500, size=K).astype(float),
+                           rng.integers(-20, 21, size=(K, n)).astype(float))
+        agent.total_cap = None if rng.random() < 0.5 else float(rng.integers(10, 200))
+        ep, cuts = LocalEndpoint(agent), CutSet()
+        for it in range(1, 16):
+            prices = rng.uniform(-15, 15, size=n)
+            z = rng.uniform(0, 60, size=n)
+            rho = float(rng.choice([0.25, 1.0, 4.0, 100.0]))
+            warm = best_response(agent, prices, z, rho, cuts=cuts)
+            assert np.array_equal(ep.respond(prices, z, rho, it), warm.plan)
+            cold = best_response(agent, prices, z, rho)
+            ours = prox_objective(agent, warm.plan, prices, z, rho)
+            theirs = prox_objective(agent, cold.plan, prices, z, rho)
+            scale = 1.0 + abs(ours) + abs(agent.evaluate(warm.plan)[0])
+            assert warm.gap <= 1e-12 * scale
+            assert theirs - ours <= warm.gap + 1e-12 * scale
+            assert ours - theirs <= cold.gap + 1e-12 * scale
+
+
+def test_kept_cuts_answer_most_queries_with_one_evaluation(toy_retailer, toy_supplier,
+                                                          monkeypatch):
+    # regression: each query started from no cuts and re-learned the same
+    # fixed utility, 2.16 evaluations and master calls per best response here
+    agents = [Counting(RetailerAgent(toy_retailer)), Counting(SupplierAgent(toy_supplier))]
+    masters = []
+
+    def counted(*args, **kwargs):
+        masters.append(None)
+        return maximize_cut_model(*args, **kwargs)
+
+    monkeypatch.setattr(consensus, "maximize_cut_model", counted)
+    cfg = ConsensusConfig(eps_abs=1e-7, eps_rel=1e-7, initial_plan=np.zeros(2))
+    res = run_consensus(agents, cfg)
+    assert res.converged
+    responses = 2 * res.iterations
+    assert sum(agent.calls for agent in agents) <= 1.2 * responses
+    assert len(masters) <= 1.2 * responses
+
+
 def test_residual_trend_is_nonincreasing(toy_retailer, toy_supplier):
     cfg = ConsensusConfig(eps_abs=1e-7, eps_rel=1e-7, initial_plan=np.zeros(2))
     records = []
@@ -304,14 +351,14 @@ def test_trace_records_are_line_delimited(toy_retailer, toy_supplier):
 
 def test_endpoint_parity_with_direct_best_response(toy_supplier):
     # a wrapped endpoint replays the exact same plans as direct solver calls
+    # that share one cut set
     agent = SupplierAgent(toy_supplier)
     ep = LocalEndpoint(agent)
     rng = np.random.default_rng(3)
-    last = None
+    cuts = CutSet()
     for it in range(1, 6):
         prices = rng.uniform(-5, 5, size=2)
         z = rng.uniform(0, 80, size=2)
         got = ep.respond(prices, z, 1.0, it)
-        want = best_response(agent, prices, z, 1.0, start=last).plan
-        last = want
+        want = best_response(agent, prices, z, 1.0, cuts=cuts).plan
         assert np.array_equal(got, want)

@@ -5,6 +5,7 @@ from conftest import RetailerValueOracle, SupplierValueOracle, random_bilateral,
 from coplan.errors import ParameterError
 from coplan.mechanism import (
     BudgetDiagnosis,
+    consensus_plan,
     FeePolicy,
     budget_balance_check,
     build_menu,
@@ -16,7 +17,7 @@ from coplan.mechanism import (
     supplier_choose,
     vcg_transfers,
 )
-from coplan.transport import SupplierSpec, retailer_utility, supplier_utility
+from coplan.transport import RetailerSpec, SupplierSpec, retailer_utility, supplier_utility
 
 
 @pytest.fixture(scope="module")
@@ -317,3 +318,34 @@ def test_jit_plan_deterministic_under_cost_ties():
     spec = RetailerSpec(demand=[10.0, 10.0], arc_costs=[[2.0, 2.0], [2.0, 2.0]],
                         gross_profit=[5.0, 5.0], lost_sales_penalty=50.0)
     assert np.allclose(jit_plan(spec), jit_plan(spec))
+
+
+def square_draw(n, draw):
+    """Draw ``draw`` of the size sweep: square I = J = K = n instances from
+    ``default_rng(7)``, each taking demand and capacities (0-100), retailer
+    arc costs (1-10) and gross profits (12-30), then the supplier's."""
+    rng = np.random.default_rng(7)
+    for _ in range(draw + 1):
+        demand = rng.integers(0, 101, size=n).astype(float)
+        caps = rng.integers(0, 101, size=n).astype(float)
+        retailer = RetailerSpec(demand=demand,
+                                arc_costs=rng.integers(1, 11, size=(n, n)).astype(float),
+                                gross_profit=rng.integers(12, 31, size=n).astype(float),
+                                lost_sales_penalty=1000.0)
+        supplier = SupplierSpec(capacities=caps,
+                                arc_costs=rng.integers(1, 11, size=(n, n)).astype(float),
+                                gross_profit=rng.integers(12, 31, size=n).astype(float))
+    return retailer, supplier
+
+
+def test_consensus_settles_a_ten_node_instance():
+    # the paper's high-dimensional setting, unbudgeted: a 10-node draw in cpp
+    # mode meets acceptance 3's bound against the joint LP and settles
+    retailer, supplier = square_draw(10, 6)
+    status_quo = standalone_plans(retailer, supplier)
+    plan, result = consensus_plan(retailer, supplier, status_quo=status_quo)
+    assert result.converged
+    _, joint_lp = solve_joint_lp(retailer, supplier)
+    joint = retailer_utility(retailer, plan).value + supplier_utility(supplier, plan).value
+    assert abs(joint - joint_lp) <= 1e-3 * max(1.0, abs(joint_lp))
+    assert vcg_transfers(retailer, supplier, status_quo, plan).verify()

@@ -13,6 +13,7 @@ from coplan.consensus import (
     run_consensus,
 )
 from coplan import protocol
+from coplan._qp import CutSet
 from coplan.errors import (AgentTimeoutError, NonConvergenceError, ParameterError, ParseError,
                            ProtocolError)
 from coplan.protocol import (
@@ -86,6 +87,11 @@ def test_parse_errors():
     with pytest.raises(ParseError, match="non-finite"):
         decode(b'{"kind":"query","session":"s1","iteration":1,"dim":1,"rho":NaN,'
                b'"prices":[0.0],"z":[0.0]}')
+    # an integer too large for a float is no finite number either
+    with pytest.raises(ParseError, match="non-finite number in fee"):
+        decode(b'{"kind":"offer","session":"s1","dim":1,"plan":[1.0],"fee":1%s}' % (b"0" * 400))
+    with pytest.raises(ParseError, match="non-finite number in plan"):
+        decode(b'{"kind":"offer","session":"s1","dim":1,"plan":[1%s],"fee":1.0}' % (b"0" * 400))
     with pytest.raises(ParseError, match="iteration must be a nonnegative integer"):
         decode(b'{"kind":"response","session":"s1","iteration":-1,"dim":1,"plan":[0.0]}')
     with pytest.raises(ParseError):
@@ -120,13 +126,12 @@ def test_served_response_matches_in_process(toy_supplier, toy_supplier_server):
     agent = SupplierAgent(toy_supplier)
     remote = RemoteAgent(toy_supplier_server.address, dim=2)
     rng = np.random.default_rng(7)
-    warm = None
+    cuts = CutSet()  # the session's cuts, replayed in process
     for it in range(1, 5):
         prices = rng.uniform(-5, 5, size=2)
         z = rng.uniform(0, 80, size=2)
         got = remote.respond(prices, z, 1.0, it)
-        want = best_response(agent, prices, z, 1.0, start=warm).plan
-        warm = want
+        want = best_response(agent, prices, z, 1.0, cuts=cuts).plan
         assert np.array_equal(got, want)
     remote.close()
 
@@ -259,6 +264,31 @@ def test_query_at_nonpositive_rho_gets_error_and_server_lives_on(toy_supplier,
     assert np.array_equal(got, want.plan)
 
 
+@pytest.mark.parametrize("field", ["prices", "z", "rho"])
+def test_query_with_a_number_too_large_for_a_float_gets_error(toy_supplier, field,
+                                                              toy_supplier_server):
+    # regression: json reads a 400-digit integer as an int that no float
+    # holds; the finiteness check raised TypeError, the session thread died
+    # and the client saw the stream close with no error reply
+    huge = "9" * 400
+    fields = {"prices": "[0.0,0.0]", "z": "[10.0,90.0]", "rho": "1.0"}
+    fields[field] = f"[0.0,{huge}]" if field != "rho" else huge
+    line = ('{"kind":"query","session":"s1","iteration":1,"dim":2,"rho":%s,'
+            '"prices":%s,"z":%s}\n' % (fields["rho"], fields["prices"], fields["z"])).encode()
+    with pytest.raises(ParseError, match="non-finite"):
+        decode(line)
+    replies = exchange(toy_supplier_server.address, HELLO, line)
+    assert [r.kind for r in replies] == ["error"]
+    assert "non-finite" in replies[0].payload["reason"]
+    remote = RemoteAgent(toy_supplier_server.address, dim=2)
+    try:
+        got = remote.respond(np.zeros(2), np.array([10.0, 90.0]), 1.0, 1)
+    finally:
+        remote.close()
+    want = best_response(SupplierAgent(toy_supplier), np.zeros(2), np.array([10.0, 90.0]), 1.0)
+    assert np.array_equal(got, want.plan)
+
+
 def test_offer_of_wrong_dimension_gets_error(toy_supplier_server):
     offer = Message("offer", "s1", payload={"dim": 3, "plan": [1.0, 2.0, 3.0], "fee": 0.0})
     replies = exchange(toy_supplier_server.address, HELLO, offer)
@@ -272,6 +302,21 @@ def test_offer_with_negative_entry_gets_error(toy_supplier_server):
             remote.offer([-5.0, 10.0], 0.0)
     finally:
         remote.close()
+
+
+def test_offer_at_the_settlement_tolerance_is_accepted(toy_supplier):
+    # regression: the server took an offer only when value - fee >= reservation
+    # exactly, while the settlement it answers for accepts a surplus down to
+    # -1e-9, so cpp and protocol mode could disagree on the same settlement
+    value = supplier_utility(toy_supplier, [10.0, 90.0]).value
+    server = AgentServer(SupplierAgent(toy_supplier), reservation=value - 100.0).start()
+    remote = RemoteAgent(server.address, dim=2)
+    try:
+        assert remote.offer([10.0, 90.0], 100.0 + 5e-10) is True
+        assert remote.offer([10.0, 90.0], 100.0 + 2e-9) is False
+    finally:
+        remote.close()
+        server.stop()
 
 
 def test_offer_beyond_capacity_is_declined(toy_supplier):

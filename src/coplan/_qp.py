@@ -18,6 +18,15 @@ above, so the value returned is a sound bound however the loop ends.
 Problems here are small (a handful of coordinates; tens of cuts, or up to a
 few thousand affine pieces of a rolling-horizon utility), so dense linear
 algebra with deterministic tie-breaking is both fast and reproducible.
+
+The cuts come as a :class:`CutSet`, which keeps the dual's columns and the
+free set on which the last call ended.  Successive calls of a consensus run
+move the center a little and rarely the penalty, so that free set is mostly
+still optimal: a call first solves the KKT system on it and, if every
+multiplier comes out positive, prices from there (a warm-started dual active
+set, as in Goldfarb & Idnani, Math. Programming 27, 1983), else it starts
+cold from the most violated cut.  Either start is a dual-feasible point of
+the same loop, so both end on the same optimum up to rounding.
 """
 
 import numpy as np
@@ -46,61 +55,144 @@ def project_capped(x, total_cap=None):
 
 
 class CutSet:
-    """Distinct cuts ``offset + grad @ x``, oldest first.
+    """Distinct cuts ``offset + grad @ x``, oldest first, with the master's
+    state for them.
 
     Each cut is one column of the master's dual, which prices every column
-    on every step: a repeated (offset, grad) row would only add work.
-    Adding a cut identical to one already held does nothing.
+    on every step: a repeated (offset, grad) row would only add work, so
+    adding a cut identical to one already held does nothing.  The set keeps
+    the dual's columns (the cuts', then the n bounds' and the cap's), their
+    costs and norms, appended as cuts arrive and rebuilt only by
+    :meth:`keep_last`, and the free set on which the last
+    :func:`maximize_cut_model` call ended, keyed by cut so that it outlives
+    :meth:`keep_last`.
     """
 
     def __init__(self, offsets=(), grads=()):
-        self._rows = {}  # (offset, *grad) -> None, in insertion order
+        self._ids = {}   # (offset, *grad) -> cut id; ids count up in insertion order
         for offset, grad in zip(offsets, grads):
-            self.add(offset, grad)
+            self._ids.setdefault(_row(offset, grad), len(self._ids))
+        self._next_id = len(self._ids)
+        self._A = None   # dual columns, built with the first cut
+        if self._ids:
+            self._set_columns(np.array(list(self._ids)))
+        self._free = []  # last free set: cut ids, and -1 - i for bound i (-1 - n: cap)
+        self._free_cols = self._free_gram = None
 
     def __len__(self):
-        return len(self._rows)
+        return len(self._ids)
+
+    @property
+    def offsets(self):
+        return np.zeros(0) if self._A is None else self._q[:len(self)]
+
+    @property
+    def grads(self):
+        return np.zeros((0, 0)) if self._A is None else self._A[:-1, :len(self)].T
 
     def add(self, offset, grad):
-        self._rows.setdefault((float(offset), *np.asarray(grad, dtype=float).tolist()))
+        """Add a cut; return whether it was new."""
+        key = _row(offset, grad)
+        if key in self._ids:
+            return False
+        self._ids[key] = self._next_id
+        self._next_id += 1
+        if self._A is None:
+            self._set_columns(np.array([key]))
+            return True
+        K = len(self) - 1
+        col = np.array(key[1:] + (1.0,))
+        self._A = np.concatenate((self._A[:, :K], col[:, None], self._A[:, K:]), axis=1)
+        self._q = np.concatenate((self._q[:K], key[:1], self._q[K:]))
+        self._norms = np.concatenate((self._norms[:K], _norms(col[:, None]), self._norms[K:]))
+        self._abs_B = np.abs(self._A[:-1])
+        return True
 
     def keep_last(self, n):
-        self._rows = dict.fromkeys(list(self._rows)[-n:])
+        drop = len(self) - n
+        if drop > 0:
+            self._ids = dict(list(self._ids.items())[drop:])
+            self._A, self._q = self._A[:, drop:], self._q[drop:]
+            self._norms, self._abs_B = self._norms[drop:], self._abs_B[:, drop:]
 
-    def arrays(self):
-        """(offsets, grads) as contiguous arrays for ``maximize_cut_model``."""
-        rows = np.array(list(self._rows))
-        return np.ascontiguousarray(rows[:, 0]), np.ascontiguousarray(rows[:, 1:])
+    def _set_columns(self, rows):
+        """Dual columns [grad; 1] of the cut ``rows`` (offset, *grad), then
+        [e_i; 0] for the bounds and [-1; 0] for the cap, with their costs."""
+        K, n = rows.shape[0], rows.shape[1] - 1
+        A = np.zeros((n + 1, K + n + 1))
+        A[:n, :K] = rows[:, 1:].T
+        A[n, :K] = 1.0
+        A[:n, K:K + n] = np.eye(n)
+        A[:n, -1] = -1.0
+        self._A = A
+        self._q = np.zeros(K + n + 1)
+        self._q[:K] = rows[:, 0]
+        self._norms = _norms(A)
+        self._abs_B = np.abs(A[:n])
+
+    def _last_free(self, m):
+        """The last call's free set as (columns among the first ``m``, their
+        dual columns, their Gram matrix), or None if one of them is gone."""
+        K, first = len(self), self._next_id - len(self)
+        free = [key - first if key >= 0 else K - 1 - key for key in self._free]
+        if not free or min(free) < 0 or max(free) >= m:
+            return None
+        if self._free_gram is None:
+            cols = self._A[:, free]
+            self._free_cols, self._free_gram = cols, cols[:-1].T @ cols[:-1]
+        return free, self._free_cols, self._free_gram
+
+    def _remember(self, free):
+        K, first = len(self), self._next_id - len(self)
+        keys = [j + first if j < K else K - 1 - j for j in free]
+        if keys != self._free:
+            # a column's entries never change, so these stay valid while
+            # the same cuts are free
+            self._free, self._free_cols, self._free_gram = keys, None, None
 
 
-def maximize_cut_model(offsets, grads, center, rho, total_cap=None):
-    """Return (x, value) for the prox-regularized cut model above; ``value``
-    is the dual objective at the final multipliers, an upper bound on the
-    model's maximum that meets the model value at ``x`` at the optimum."""
-    offsets = np.asarray(offsets, dtype=float)
-    grads = np.atleast_2d(np.asarray(grads, dtype=float))
+def _row(offset, grad):
+    return (float(offset), *np.asarray(grad, dtype=float).tolist())
+
+
+def _norms(A):
+    return np.sqrt(np.einsum("ij,ij->j", A, A))
+
+
+def maximize_cut_model(cuts, center, rho, total_cap=None):
+    """Return (x, value) for the prox-regularized model of the :class:`CutSet`
+    ``cuts`` above; ``value`` is the dual objective at the final multipliers,
+    an upper bound on the model's maximum that meets the model value at ``x``
+    at the optimum.
+
+    The call starts on the free set where the last call on ``cuts`` ended,
+    if that set's own optimum is dual feasible (every multiplier positive),
+    and otherwise cold from the most violated cut at ``center``.
+    """
     center = np.asarray(center, dtype=float)
-    K, n = grads.shape
-
+    n, K = center.size, len(cuts)
     # Dual columns [B; simplex row] for the K cuts, the n bounds and the cap;
     # q is the linear cost of each column.
-    m = K + n + (total_cap is not None)
-    A = np.zeros((n + 1, m))
-    A[:n, :K] = grads.T
-    A[:n, K:K + n] = np.eye(n)
-    A[n, :K] = 1.0
-    q = np.zeros(m)
-    q[:K] = offsets
-    if total_cap is not None:
-        A[:n, -1] = -1.0
+    A, q, norms, abs_B = cuts._A, cuts._q, cuts._norms, cuts._abs_B
+    if total_cap is None:
+        A, q, norms, abs_B = A[:, :-1], q[:-1], norms[:-1], abs_B[:, :-1]
+    else:
         q[-1] = total_cap
-    B, abs_B, abs_q = A[:n], np.abs(A[:n]), np.abs(q)
-    norms = np.sqrt(np.einsum("ij,ij->j", A, A))
+    m = q.size
+    B = A[:n]
 
-    k = int(np.argmin(offsets + grads @ center))
-    free, y = [k], np.ones(1)
-    x = center + grads[k] / rho
-    t = offsets[k] + grads[k] @ x
+    start = cuts._last_free(m)
+    step = None
+    if start is not None and min(start[0]) < K:
+        free, cols, gram = start
+        step = _free_optimum(cols, q[free], center, rho, gram)
+    if step is not None and step[1].min() > 0.0:
+        x, y, t, w = step
+    else:
+        k = int(np.argmin(q[:K] + center @ B[:, :K]))
+        free, y, w = [k], np.ones(1), B[:, k]
+        x = center + w / rho
+        t = q[k] + w @ x
     for _ in range(10 * (m + n)):  # insurance: each pass lowers the dual
         # dual gradient less the simplex multiplier t; zero on the free set
         r = q + x @ B - t * A[n]
@@ -109,13 +201,14 @@ def maximize_cut_model(offsets, grads, center, rho, total_cap=None):
         j = int(score.argmin())
         if score[j] >= 0.0:
             break
-        score[r >= -_ROUND_TOL * (abs_q + np.abs(x) @ abs_B + abs(t) * A[n])] = 0.0
+        score[r >= -_ROUND_TOL * (np.abs(q) + np.abs(x) @ abs_B + abs(t) * A[n])] = 0.0
         j = int(score.argmin())
         if score[j] >= 0.0:
             break
-        step = _free_optimum(A, q, center, rho, free + [j]) if len(free) <= n else None
+        grown = free + [j]
+        step = _free_optimum(A[:, grown], q[grown], center, rho) if len(free) <= n else None
         if step is not None and step[1][-1] > 0.0:
-            free.append(j)
+            free = grown
             y = np.concatenate((y, (0.0,)))
         else:
             # Column j depends (at least numerically) on the free columns:
@@ -131,7 +224,7 @@ def maximize_cut_model(offsets, grads, center, rho, total_cap=None):
             i = int(ratios.argmin())
             y = np.append(np.delete(np.maximum(y + ratios[i] * d, 0.0), i), ratios[i])
             free = free[:i] + free[i + 1:] + [j]
-            step = _free_optimum(A, q, center, rho, free)
+            step = _free_optimum(A[:, free], q[free], center, rho)
         # Move to the free set's optimum, freeing up each variable it would
         # push below zero on the way.
         while step is not None and step[1].min() < 0.0:
@@ -140,12 +233,13 @@ def maximize_cut_model(offsets, grads, center, rho, total_cap=None):
             i = int(ratios.argmin())
             y = np.delete(np.maximum(y + ratios[i] * p, 0.0), i)
             del free[i]
-            step = _free_optimum(A, q, center, rho, free)
+            step = _free_optimum(A[:, free], q[free], center, rho)
         if step is None:
+            w = B[:, free] @ y
             break
-        x, y, t = step
+        x, y, t, w = step
 
-    w = B[:, free] @ y
+    cuts._remember(free)
     value = float(q[free] @ y + center @ w + w @ w / (2.0 * rho))
     # x is primal feasible up to rounding; make it exactly so on the bounds
     x = np.maximum(center + w / rho, 0.0)
@@ -153,24 +247,27 @@ def maximize_cut_model(offsets, grads, center, rho, total_cap=None):
     return x, value
 
 
-def _free_optimum(A, q, center, rho, free):
-    """(x, y, t) minimizing the dual over the free columns, the rest at zero,
-    with t the multiplier of the simplex row; None if the columns are
-    dependent."""
+def _free_optimum(cols, q_free, center, rho, gram=None):
+    """(x, y, t, w) minimizing the dual over the free columns ``cols`` with
+    costs ``q_free``, the rest at zero: t is the multiplier of the simplex
+    row and w the free columns' weighted sum, given their Gram matrix
+    ``gram`` or not; None if the columns are dependent."""
     n = center.size
-    cols = A[:, free]
     Bf = cols[:n]
-    f = len(free)
+    if gram is None:
+        gram = Bf.T @ Bf
+    f = q_free.size
     M = np.empty((f + 1, f + 1))
-    M[:f, :f] = Bf.T @ Bf / rho
+    M[:f, :f] = gram / rho
     M[:f, f] = M[f, :f] = cols[n]
     M[f, f] = 0.0
     rhs = np.empty(f + 1)
-    rhs[:f] = -q[free] - center @ Bf
+    rhs[:f] = -q_free - center @ Bf
     rhs[f] = 1.0
     try:
         sol = np.linalg.solve(M, rhs)
     except np.linalg.LinAlgError:
         return None
     y = sol[:f]
-    return center + Bf @ y / rho, y, -sol[f]
+    w = Bf @ y
+    return center + w / rho, y, -sol[f], w

@@ -92,7 +92,10 @@ def best_response(agent, prices, z, rho, cuts=None):
     certified upper bound; the loop stops once the bound meets the best
     evaluated point within ``_BR_GAP_TOL`` relative to the objective and the
     utility, whose size sets the bound's rounding error even when the
-    objective is near zero.  Piecewise-linear utilities terminate finitely.
+    objective is near zero.  It also stops when an evaluation returns a cut
+    the model already holds: the model is then exact at the master's
+    maximizer, and the gap reported is the master's own.  Piecewise-linear
+    utilities terminate finitely.
 
     ``cuts`` is a :class:`CutSet` of the agent's earlier cuts, which the loop
     extends in place.  A cut of a fixed utility overestimates it whatever the
@@ -121,7 +124,7 @@ def best_response(agent, prices, z, rho, cuts=None):
     if cuts is None:
         cuts = CutSet()
     if len(cuts):
-        x, model_val = maximize_cut_model(*cuts.arrays(), center, rho,
+        x, model_val = maximize_cut_model(cuts, center, rho,
                                           total_cap=agent.total_cap)
         upper = model_val + shift
     else:
@@ -136,7 +139,11 @@ def best_response(agent, prices, z, rho, cuts=None):
             best_val = objective
             best_x = x
         size = max(size, abs(value))
-        cuts.add(value - float(grad @ x), grad)
+        if not cuts.add(value - float(grad @ x), grad):
+            # the model already holds this cut, so it is exact at x, which
+            # maximizes it: x is optimal up to the master's own gap, which
+            # no further cut can close
+            break
         if len(cuts) > 48:
             # drop the stalest cuts; fewer constraints only raise the model,
             # and a bound already certified stays one
@@ -145,7 +152,7 @@ def best_response(agent, prices, z, rho, cuts=None):
         # a new cut only lowers the model, so the standing bound may already do
         if upper - best_val <= tol:
             break
-        x, model_val = maximize_cut_model(*cuts.arrays(), center, rho,
+        x, model_val = maximize_cut_model(cuts, center, rho,
                                           total_cap=agent.total_cap)
         upper = min(upper, model_val + shift)
         if upper - best_val <= tol:

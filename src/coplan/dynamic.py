@@ -31,9 +31,12 @@ from .errors import DimensionError, ParameterError, StateError
 MODES = ("none", "full-horizon")
 # free weeks up to which the retailer's prox is solved exactly on its
 # 2**weeks affine pieces; wider windows keep the cutting-plane best response.
-# Timed on one coordinated week of random windows, the exact prox is faster
-# through 12 free weeks (0.41x the cutting-plane time at 6, 0.46x at 10,
-# 0.84x at 12) and slower from 13 (1.6x), where the pieces double per week.
+# Timed on one coordinated week of 8 random windows with every week free,
+# the exact prox takes 1.09x the cutting-plane time at 4 free weeks, 0.84x
+# at 6, 0.79x at 8, 1.16x at 10, 2.4x at 12 and 4.7x at 13, where the pieces
+# double per week: with both masters warm-started, the crossover is near 9
+# weeks.  The limit stays at 12, since moving it changes the reports of
+# windows with 9 to 12 free weeks.
 _EXACT_PROX_MAX_WEEKS = 12
 
 
@@ -170,8 +173,9 @@ def _retailer_roll(model, orders, state):
 
 
 def _retailer_pieces(model, state, prefix):
-    """Affine pieces ``offsets + grads @ y`` of the retailer's window total in
-    the free orders ``y`` that follow the committed ``prefix``.
+    """:class:`CutSet` of the affine pieces ``offset + grad @ y`` of the
+    retailer's window total in the free orders ``y`` that follow the
+    committed ``prefix``.
 
     Fixing which free weeks stock out makes every sale and end inventory
     affine in ``y``; the total equals the minimum over all ``2**free`` such
@@ -204,7 +208,7 @@ def _retailer_pieces(model, state, prefix):
         on_grad = np.where(out[:, None], 0.0, avail_grad)
         offsets += (m + lost) * sales_off - h * on_off - lost * f[idx]
         grads += (m + lost) * sales_grad - h * on_grad
-    return CutSet(offsets, grads).arrays()
+    return CutSet(offsets, grads)
 
 
 def _supplier_weeks(model, orders, state):
@@ -266,8 +270,10 @@ class DynamicRetailerAgent(_WindowAgent):
 
     Up to 12 free weeks (``_EXACT_PROX_MAX_WEEKS``) the proximal best response
     is exact: one cut-model master call on the utility's 4096 or fewer affine
-    pieces, built on the first call.  Wider windows have no ``prox_respond``
-    and go through the cutting-plane best response.
+    pieces.  The agent builds the pieces' :class:`CutSet` on the first call and
+    keeps it for the week, so each call starts from the free set where the
+    last one ended.  Wider windows have no ``prox_respond`` and go through the
+    cutting-plane best response.
     """
 
     def __init__(self, model, state, prefix=()):
@@ -288,12 +294,21 @@ class DynamicRetailerAgent(_WindowAgent):
         if self._pieces is None:
             self._pieces = _retailer_pieces(self.model, self.state, self.prefix)
         center = np.asarray(z, dtype=float) - np.asarray(prices, dtype=float) / rho
-        return maximize_cut_model(*self._pieces, center, rho, self.total_cap)[0]
+        return maximize_cut_model(self._pieces, center, rho, self.total_cap)[0]
 
 
 class DynamicSupplierAgent(_WindowAgent):
     """Supplier flow utility over the free weeks, anchored at the last issued
-    order (and any committed prefix) for the smoothing term."""
+    order (and any committed prefix) for the smoothing term.
+
+    Its exact prox keeps the Hessian of the last ``rho`` and the bounds it
+    pinned at the last call, where the next call's pinning starts.
+    """
+
+    def __init__(self, model, state, prefix=()):
+        super().__init__(model, state, prefix)
+        self._hessian = (None, None)   # (rho, H)
+        self._pinned = np.zeros(self.dim, dtype=bool)
 
     def evaluate(self, plan):
         weekly, grad = _supplier_weeks(self.model, self._orders(plan), self.state)
@@ -308,27 +323,30 @@ class DynamicSupplierAgent(_WindowAgent):
         prices = np.asarray(prices, dtype=float)
         z = np.asarray(z, dtype=float)
         # maximize b@y - y@H y/2 over y >= 0
-        H = rho * np.eye(n)
-        for t in range(n):
-            H[t, t] += 2.0 * kappa * (2.0 if t < n - 1 else 1.0)
-            if t + 1 < n:
-                H[t, t + 1] -= 2.0 * kappa
-                H[t + 1, t] -= 2.0 * kappa
+        if self._hessian[0] != rho:
+            diag = np.full(n, rho + 4.0 * kappa)
+            diag[-1] = rho + 2.0 * kappa
+            self._hessian = (rho, np.diag(diag) - 2.0 * kappa * (np.eye(n, k=1) + np.eye(n, k=-1)))
+        H = self._hessian[1]
         b = m - prices + rho * z
         b[0] += 2.0 * kappa * (float(self.prefix[-1]) if self.prefix.size
                                else self.state.last_order)
-        pinned = np.zeros(n, dtype=bool)
+        pinned = self._pinned.copy()
         for _ in range(4 * n + 8):
-            y = np.zeros(n)
-            free = ~pinned
-            if free.any():
-                y[free] = np.linalg.solve(H[np.ix_(free, free)], b[free])
-            if np.any(y[free] < -1e-12):
+            if not pinned.any():
+                y = np.linalg.solve(H, b)
+            else:
+                y = np.zeros(n)
+                free = ~pinned
+                if free.any():
+                    y[free] = np.linalg.solve(H[np.ix_(free, free)], b[free])
+            if y.min() < -1e-12:  # pinned entries are 0: a free one is negative
                 pinned |= y < -1e-12
                 continue
             slack_grad = b - H @ y
             release = pinned & (slack_grad > 1e-12)
             if not release.any():
+                self._pinned = pinned
                 return np.maximum(y, 0.0)
             pinned &= ~release
         raise ParameterError("supplier prox active set failed to settle")  # pragma: no cover

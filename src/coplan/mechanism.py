@@ -306,8 +306,15 @@ class SettlementReport:
     retailer_surplus: float
     supplier_accepts: bool
 
-    def verify(self, tol=1e-6):
-        """Re-check the settlement identities; raises AssertionError on drift."""
+    def verify(self, tol=1e-9):
+        """Re-check the settlement identities, each to ``tol`` relative to the
+        summed magnitudes of the utilities and transfers they are built from
+        (at least 1): rounding grows with their size, not with their units.
+        Raises AssertionError on drift."""
+        tol *= max(1.0, sum(map(abs, (
+            self.retailer_value_plan, self.supplier_value_plan, self.retailer_value_standalone,
+            self.supplier_value_standalone, self.transfer_supplier, self.transfer_retailer,
+            self.fee_term))))
         lhs = self.retailer_value_plan + self.transfer_supplier - self.fee_term
         assert abs(lhs - self.retailer_value_standalone) <= tol, "transfer identity broken"
         assert abs((self.supplier_surplus + self.retailer_surplus) - self.gain) <= tol, \

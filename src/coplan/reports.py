@@ -249,8 +249,10 @@ def _run_menu(scenario, retailer_at, supplier_at, status_quo, plan):
     choice = supplier_choose(supplier_at, menu, supplier_at(status_quo.supplier_plan).value)
     u_sq = retailer_at(status_quo.retailer_plan).value
     for menu_plan, fee in zip(menu.plans, menu.fees):
-        want = u_sq - retailer_at(menu_plan).value + alpha
-        assert abs(fee - want) <= 1e-6, "menu pricing identity broken"
+        value = retailer_at(menu_plan).value
+        # to 1e-9 of the summed magnitudes: rounding grows with them
+        tol = 1e-9 * max(1.0, abs(u_sq) + abs(value) + abs(alpha))
+        assert abs(fee - (u_sq - value + alpha)) <= tol, "menu pricing identity broken"
     payload = {
         "alpha": alpha,
         "options": [

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -377,7 +378,8 @@ def test_retailer_pieces_take_the_rolled_total_as_their_minimum():
     for _ in range(150):
         model, state, prefix = random_window(rng, int(rng.integers(1, 7)))
         free = model.window(state.week).size - prefix.size
-        offsets, grads = _retailer_pieces(model, state, prefix)
+        pieces = _retailer_pieces(model, state, prefix)
+        offsets, grads = pieces.offsets, pieces.grads
         assert offsets.size <= 2 ** free
         for _ in range(20):
             # zero orders now and then, so stock-outs and exact boundaries occur
@@ -436,3 +438,24 @@ def test_wide_windows_keep_the_cutting_plane_response():
     records, _ = simulate(model, model.forecasts, mode="full-horizon")
     for rec in records[1:]:
         assert rec.cbt == 0.0
+
+
+def test_supplier_prox_after_a_penalty_change_matches_a_fresh_agent():
+    # the prox keeps its Hessian per rho and starts pinning from its last
+    # pinned bounds; neither may change the answer
+    rng = np.random.default_rng(71)
+    for _ in range(60):
+        model, state, prefix = random_window(rng, int(rng.integers(1, 7)))
+        model = replace(model, smoothing_cost=float(rng.uniform(0.05, 2.0)),
+                        supplier_margin=float(rng.uniform(0.5, 5.0)))
+        agent = DynamicSupplierAgent(model, state, prefix)
+        rho = float(rng.choice([0.5, 3.0, 12.0]))
+        for _ in range(6):
+            if rng.random() < 0.4:
+                rho *= float(rng.choice([0.5, 2.0]))
+            # prices large enough that some bounds bind
+            prices = rng.normal(0.0, 15.0, size=agent.dim)
+            z = rng.uniform(0.0, 20.0, size=agent.dim)
+            got = agent.prox_respond(prices, z, rho)
+            want = DynamicSupplierAgent(model, state, prefix).prox_respond(prices, z, rho)
+            assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())

@@ -349,3 +349,15 @@ def test_consensus_settles_a_ten_node_instance():
     joint = retailer_utility(retailer, plan).value + supplier_utility(supplier, plan).value
     assert abs(joint - joint_lp) <= 1e-3 * max(1.0, abs(joint_lp))
     assert vcg_transfers(retailer, supplier, status_quo, plan).verify()
+
+
+def test_fee_replan_settles_a_ten_node_instance():
+    # the multiplicative fee's re-plan of the same draw once stalled in a
+    # best response whose evaluations returned cuts it already held
+    # (gap 3.659e-08 after 120 evaluations)
+    retailer, supplier = square_draw(10, 6)
+    status_quo = standalone_plans(retailer, supplier)
+    fee = FeePolicy.multiplicative(0.3)
+    plan, result = consensus_plan(retailer, supplier, fee=fee, status_quo=status_quo)
+    assert result.converged
+    assert vcg_transfers(retailer, supplier, status_quo, plan, fee).verify()

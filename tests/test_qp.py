@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+from coplan import _qp
 from coplan._qp import CutSet, maximize_cut_model, project_capped
 
 
@@ -42,7 +43,7 @@ def test_single_cut_closed_form():
     grads = np.array([[2.0, -1.0]])
     center = np.array([1.0, 0.3])
     rho = 2.0
-    x, val = maximize_cut_model(offsets, grads, center, rho)
+    x, val = maximize_cut_model(CutSet(offsets, grads), center, rho)
     expected = np.maximum(center + grads[0] / rho, 0.0)
     assert np.allclose(x, expected, atol=1e-9)
     assert val == pytest.approx(model_value(offsets, grads, center, rho, expected), abs=1e-9)
@@ -72,7 +73,7 @@ def test_matches_dense_grid_in_2d():
         center = rng.uniform(-5, 30, size=2)
         rho = float(rng.choice([0.5, 1.0, 4.0]))
         cap = float(rng.uniform(5, 40)) if rng.random() < 0.5 else None
-        x, val = maximize_cut_model(offsets, grads, center, rho, total_cap=cap)
+        x, val = maximize_cut_model(CutSet(offsets, grads), center, rho, total_cap=cap)
         # feasibility
         assert np.all(x >= -1e-9)
         if cap is not None:
@@ -96,7 +97,7 @@ def test_matches_slsqp_in_higher_dims():
         center = rng.uniform(-2, 25, size=n)
         rho = float(rng.choice([0.5, 1.0, 2.0]))
         cap = float(rng.uniform(10, 60)) if rng.random() < 0.5 else None
-        x, val = maximize_cut_model(offsets, grads, center, rho, total_cap=cap)
+        x, val = maximize_cut_model(CutSet(offsets, grads), center, rho, total_cap=cap)
         assert_certified(offsets, grads, center, rho, cap, x, val)
         best = slsqp_best(offsets, grads, center, rho, cap, rng)
         assert val >= best - 1e-5 * (1 + abs(best))
@@ -122,7 +123,7 @@ CAPTURED_CALLS = [
 @pytest.mark.parametrize("offsets, grads, center, cap", CAPTURED_CALLS)
 def test_badly_scaled_consensus_calls(offsets, grads, center, cap):
     offsets, grads, center = np.array(offsets), np.array(grads), np.array(center)
-    x, val = maximize_cut_model(offsets, grads, center, 1.0, total_cap=cap)
+    x, val = maximize_cut_model(CutSet(offsets, grads), center, 1.0, total_cap=cap)
     assert_certified(offsets, grads, center, 1.0, cap, x, val)
     best = slsqp_best(offsets, grads, center, 1.0, cap, np.random.default_rng(4))
     assert val >= best - 1e-7 * (1 + abs(best))
@@ -132,7 +133,7 @@ def test_duplicate_cuts_are_harmless():
     offsets = np.array([10.0, 10.0, 4.0])
     grads = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     center = np.array([2.0, 2.0])
-    x, val = maximize_cut_model(offsets, grads, center, rho=1.0)
+    x, val = maximize_cut_model(CutSet(offsets, grads), center, rho=1.0)
     pts = np.stack(np.meshgrid(np.linspace(0, 15, 301), np.linspace(0, 15, 301)), axis=-1).reshape(-1, 2)
     grid_vals = np.min(offsets[None, :] + pts @ grads.T, axis=1) - 0.5 * np.sum((pts - center) ** 2, axis=1)
     assert val >= grid_vals.max() - 1e-6
@@ -165,7 +166,7 @@ def test_degenerate_duplicate_cut_instance_terminates():
     center = np.array([13.756250993802603, -0.7165014904415976, 21.903496600516277,
                        25.259538065268366, 18.221426579466872])
     cap = 18.461898608734856
-    x, _ = maximize_cut_model(offsets, grads, center, rho=0.2, total_cap=cap)
+    x, _ = maximize_cut_model(CutSet(offsets, grads), center, rho=0.2, total_cap=cap)
     assert np.all(x >= -1e-8)
     assert x.sum() <= cap + 1e-7
 
@@ -206,7 +207,7 @@ def test_master_never_stalls_on_adversarial_instances():
         rng = np.random.default_rng(seed)
         for _ in range(400):
             offsets, grads, center, rho, cap = draw(rng)
-            x, val = maximize_cut_model(offsets, grads, center, rho, total_cap=cap)
+            x, val = maximize_cut_model(CutSet(offsets, grads), center, rho, total_cap=cap)
             assert_certified(offsets, grads, center, rho, cap, x, val)
 
 
@@ -215,13 +216,125 @@ def test_cut_set_keeps_the_first_of_identical_cuts_in_order():
     cuts.add(0.0, np.array([0.5, 0.5]))      # equal to the -0.0 row
     cuts.add(2.0, [0.0, 1.5])
     assert len(cuts) == 4
-    offsets, grads = cuts.arrays()
+    offsets, grads = cuts.offsets, cuts.grads
     assert offsets.tolist() == [1.0, 2.0, -0.0, 2.0]
     assert np.signbit(offsets[2])
     assert grads.tolist() == [[1.0, 0.0], [0.0, 1.0], [0.5, 0.5], [0.0, 1.5]]
-    assert offsets.flags.c_contiguous and grads.flags.c_contiguous
     cuts.keep_last(2)
     cuts.add(1.0, [1.0, 0.0])                # dropped, so it comes back
-    offsets, grads = cuts.arrays()
+    offsets, grads = cuts.offsets, cuts.grads
     assert offsets.tolist() == [-0.0, 2.0, 1.0]
     assert grads.tolist() == [[0.5, 0.5], [0.0, 1.5], [1.0, 0.0]]
+
+
+@pytest.fixture
+def warm_starts(monkeypatch):
+    """Each master call's warm start, as True (taken: every multiplier of the
+    last free set's optimum positive) or False (tried and left for a cold
+    start); a call that tries none records nothing."""
+    seen = []
+    free_optimum = _qp._free_optimum
+
+    def spy(cols, q_free, center, rho, gram=None):
+        step = free_optimum(cols, q_free, center, rho, gram)
+        if gram is not None:  # only the warm start passes the kept Gram matrix
+            seen.append(step is not None and step[1].min() > 0.0)
+        return step
+    monkeypatch.setattr(_qp, "_free_optimum", spy)
+    return seen
+
+
+def cold_call(cuts, center, rho, cap):
+    return maximize_cut_model(CutSet(cuts.offsets, cuts.grads), center, rho, total_cap=cap)
+
+
+def test_warm_started_calls_answer_as_cold_ones_within_the_certificate(warm_starts):
+    # consensus-like sequences over one cut set: small moves of the center,
+    # now and then a jump, a penalty halved or doubled, a new cut
+    rng = np.random.default_rng(83)
+    calls = 0
+    for draw in (random_instance, nearly_parallel_instance) * 20:
+        offsets, grads, center, rho, cap = draw(rng)
+        cuts = CutSet(offsets, grads)
+        for _ in range(15):
+            roll = rng.random()
+            if roll < 0.1:
+                center = center + rng.normal(scale=20.0, size=center.size)
+            elif roll < 0.2:
+                rho *= float(rng.choice([0.5, 2.0]))
+            elif roll < 0.3:
+                cuts.add(float(rng.normal(scale=100.0)), rng.normal(scale=50.0, size=center.size))
+            else:
+                center = center + rng.normal(scale=0.01, size=center.size)
+            x, val = maximize_cut_model(cuts, center, rho, total_cap=cap)
+            assert_certified(cuts.offsets, cuts.grads, center, rho, cap, x, val)
+            _, cold = cold_call(cuts, center, rho, cap)
+            scale = 1.0 + np.abs(cuts.offsets).max() + np.abs(cuts.grads @ x).max()
+            assert abs(val - cold) <= 1e-9 * scale
+            calls += 1
+    assert sum(warm_starts) > 0.5 * calls
+
+
+def test_a_dropped_free_cut_starts_cold(warm_starts):
+    # the flat cut is the model at the center; once keep_last drops it, the
+    # free set it kept is gone and the next call starts cold
+    cuts = CutSet([5.0, 50.0], [[0.0, 0.0], [1.0, 1.0]])
+    center = np.array([2.0, 3.0])
+    x, _ = maximize_cut_model(cuts, center, 1.0)
+    assert x.tolist() == center.tolist()
+    cuts.add(60.0, [-1.0, 2.0])
+    cuts.keep_last(2)
+    x, val = maximize_cut_model(cuts, center, 1.0)
+    assert warm_starts == []
+    cold_x, cold_val = cold_call(cuts, center, 1.0, None)
+    assert (x.tolist(), val) == (cold_x.tolist(), cold_val)
+    assert_certified(cuts.offsets, cuts.grads, center, 1.0, None, x, val)
+    # the cuts still held keep their place in the free set
+    maximize_cut_model(cuts, center + 0.01, 1.0)
+    assert warm_starts == [True]
+
+
+def test_a_penalty_change_that_empties_a_bound_multiplier_starts_cold(warm_starts):
+    # at rho = 2 the bound x >= 0 binds with multiplier -(rho * center + g) = 1;
+    # at rho = 0.5 that multiplier would be -0.5, so the call starts cold
+    cuts = CutSet([3.0], [[1.0]])
+    center = np.array([-1.0])
+    x, _ = maximize_cut_model(cuts, center, 2.0)
+    assert x.tolist() == [0.0]
+    x, val = maximize_cut_model(cuts, center, 0.5)
+    assert warm_starts == [False]
+    assert x.tolist() == [1.0]
+    cold_x, cold_val = cold_call(cuts, center, 0.5, None)
+    assert (x.tolist(), val) == (cold_x.tolist(), cold_val)
+
+
+def test_penalty_changes_fall_back_cold_and_certify(warm_starts):
+    # rho halved or doubled, as adapt_rho does: a free set whose optimum turns
+    # a multiplier nonpositive is left, and the call is the cold call
+    rng = np.random.default_rng(89)
+    fallbacks = 0
+    for _ in range(200):
+        offsets, grads, center, rho, cap = nearly_parallel_instance(rng)
+        cuts = CutSet(offsets, grads)
+        maximize_cut_model(cuts, center, rho, total_cap=cap)
+        rho *= float(rng.choice([0.5, 2.0]))
+        del warm_starts[:]
+        x, val = maximize_cut_model(cuts, center, rho, total_cap=cap)
+        assert_certified(cuts.offsets, cuts.grads, center, rho, cap, x, val)
+        if warm_starts == [False]:
+            fallbacks += 1
+            cold_x, cold_val = cold_call(cuts, center, rho, cap)
+            assert (x.tolist(), val) == (cold_x.tolist(), cold_val)
+    assert fallbacks >= 10
+
+
+def test_a_free_set_of_bounds_only_starts_cold(warm_starts):
+    # a free set without a cut column has no simplex row to meet: cold
+    cuts = CutSet([4.0, 7.0], [[1.0, -2.0], [-1.0, 0.5]])
+    center = np.array([0.5, -0.25])
+    cuts._remember([2, 3])  # the two bound columns follow the two cuts
+    x, val = maximize_cut_model(cuts, center, 1.5, total_cap=3.0)
+    assert warm_starts == []
+    cold_x, cold_val = cold_call(cuts, center, 1.5, 3.0)
+    assert (x.tolist(), val) == (cold_x.tolist(), cold_val)
+    assert_certified(cuts.offsets, cuts.grads, center, 1.5, 3.0, x, val)

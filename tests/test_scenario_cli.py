@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import random_bilateral
 from coplan import mechanism, reports, transport
 from coplan.cli import main
 from coplan.consensus import ConsensusConfig
@@ -416,3 +417,104 @@ def test_dynamic_scenario_roundtrip():
     assert again.to_dict() == scenario.to_dict()
     assert again.dynamic.commitment == "none"
     assert again.dynamic.model.horizon == 6
+
+
+# A 4-node, 1-region pair on which the fee re-plan's retailer session, holding
+# 6 cuts, re-evaluated cuts it already held until its 120 evaluations ran out
+# (exit 2, "gap 4.515e-10"), in cpp mode and over the wire alike.
+STALL = {
+    "name": "stall", "mode": "cpp",
+    "retailer": {"demand": [6], "arc_costs": [[5], [1], [8], [10]],
+                 "gross_profit_per_unit": [14], "lost_sales_penalty": 1000},
+    "supplier": {"capacities": [81, 46, 12, 98],
+                 "arc_costs": [[6, 10, 2, 8], [5, 1, 3, 9], [8, 9, 6, 2], [3, 3, 3, 1]],
+                 "gross_profit_per_unit": [28, 13, 26, 25]},
+    "fee": {"variant": "linear_deviation", "over_rate": 1, "under_rate": 0.5},
+    "consensus": {"rho": 1, "eps_abs": 1e-6, "eps_rel": 1e-6, "max_iters": 3000,
+                  "adapt_rho": True},
+}
+
+
+@pytest.mark.parametrize("mode", ["cpp", "protocol"])
+def test_a_best_response_stops_on_a_cut_it_already_holds(mode, tmp_path, capsys):
+    path = tmp_path / "stall.scn"
+    path.write_text(json.dumps(STALL))
+    assert main(["--scenario", str(path), "--mode", mode]) == 0, capsys.readouterr().err
+
+
+def pair_doc(retailer, supplier, fee, mode, quantity=1.0, money=1.0):
+    """Scenario document of a pair with every quantity scaled by ``quantity``
+    and every amount of money by ``money``; the consensus block scales with
+    them (rho in money per squared quantity, eps_abs in quantity)."""
+    unit = money / quantity  # money per unit of quantity
+    fee = dict(fee)
+    for key, scale in (("alpha", money), ("over_rate", unit), ("under_rate", unit)):
+        if key in fee:
+            fee[key] *= scale
+    return {
+        "name": "pair", "mode": mode, "fee": fee,
+        "retailer": {"demand": (retailer.demand * quantity).tolist(),
+                     "arc_costs": (retailer.arc_costs * unit).tolist(),
+                     "gross_profit_per_unit": (retailer.gross_profit * unit).tolist(),
+                     "lost_sales_penalty": retailer.lost_sales_penalty * unit},
+        "supplier": {"capacities": (supplier.capacities * quantity).tolist(),
+                     "arc_costs": (supplier.arc_costs * unit).tolist(),
+                     "gross_profit_per_unit": (supplier.gross_profit * unit).tolist()},
+        "consensus": {"rho": money / quantity ** 2, "eps_abs": 1e-6 * quantity,
+                      "eps_rel": 1e-6, "max_iters": 5000, "adapt_rho": False},
+    }
+
+
+FIVE_FEES = [{"variant": "none"}, {"variant": "additive", "alpha": 50.0},
+             {"variant": "multiplicative", "beta": 0.3}, {"variant": "roi", "roi_rate": 0.4},
+             {"variant": "linear_deviation", "over_rate": 2.0, "under_rate": 1.0}]
+
+
+@pytest.mark.parametrize("pair, message", [(16, "surplus split"), (17, "transfer identity")])
+def test_self_checks_scale_with_the_amounts_they_check(pair, message, tmp_path, capsys):
+    # quantities x1e8 put utilities near 1e11 on a fractional consensus plan;
+    # the identities then hold to a few units in the last place, about 1e-4,
+    # which an absolute tolerance of 1e-6 read as broken (exit 3)
+    rng = np.random.default_rng(11)
+    for _ in range(pair + 1):
+        retailer, supplier = random_bilateral(rng, max_nodes=4)
+    # unit prices stay, so every amount of money grows with the quantities;
+    # the penalty stays at the toy's
+    doc = pair_doc(retailer, supplier, FIVE_FEES[pair % 5], "cpp", quantity=1e8, money=1e8)
+    doc["consensus"]["rho"] = 1.0
+    path = tmp_path / "scaled.scn"
+    path.write_text(json.dumps(doc))
+    assert main(["--scenario", str(path)]) == 0, message + ": " + capsys.readouterr().err
+
+
+def scaled_report(payload, quantity, money, scale=None):
+    """The ``centralized`` report a unit-free program gives after the scaling
+    of :func:`pair_doc`: plans scale as quantities, percentages not at all,
+    every other number as money."""
+    if isinstance(payload, dict):
+        return {key: scaled_report(value, quantity, money,
+                                   quantity if "plan" in key else
+                                   1.0 if key.endswith("_pct") else money)
+                for key, value in payload.items()}
+    if isinstance(payload, list):
+        return [scaled_report(value, quantity, money, scale) for value in payload]
+    if isinstance(payload, float):
+        return payload * scale
+    return payload
+
+
+def test_centralized_reports_do_not_depend_on_units():
+    # powers of two scale exactly in floating point, so a report free of
+    # units scales bit for bit (metamorphic; not a runtime gate)
+    analyses = ["jit", "firstbest", "vcg", "menu"]
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        retailer, supplier = random_bilateral(rng, max_nodes=4)
+        for fee in FIVE_FEES:
+            base = run(scenario_from_dict(pair_doc(retailer, supplier, fee, "centralized")),
+                       analyses=analyses)
+            for a, b in ((3, 0), (0, 5), (-2, 4), (6, -3)):
+                doc = pair_doc(retailer, supplier, fee, "centralized", 2.0 ** a, 2.0 ** b)
+                got = json.loads(run(scenario_from_dict(doc), analyses=analyses).to_json())
+                want = json.loads(json.dumps(scaled_report(base.machine, 2.0 ** a, 2.0 ** b)))
+                assert got == want, (fee["variant"], a, b)

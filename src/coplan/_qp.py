@@ -20,9 +20,10 @@ few thousand affine pieces of a rolling-horizon utility), so dense linear
 algebra with deterministic tie-breaking is both fast and reproducible.
 
 The cuts come as a :class:`CutSet`, which keeps the dual's columns and the
-free set on which the last call ended.  Successive calls of a consensus run
-move the center a little and rarely the penalty, so that free set is mostly
-still optimal: a call first solves the KKT system on it and, if every
+free set on which the last call ended, with that set's KKT matrix.
+Successive calls of a consensus run move the center a little and rarely the
+penalty, so that free set is mostly still optimal and its matrix still
+current: a call first solves the KKT system on it and, if every
 multiplier comes out positive, prices from there (a warm-started dual active
 set, as in Goldfarb & Idnani, Math. Programming 27, 1983), else it starts
 cold from the most violated cut.  Either start is a dual-feasible point of
@@ -30,6 +31,10 @@ the same loop, so both end on the same optimum up to rounding.
 """
 
 import numpy as np
+
+# A plan's total may pass its cap by this multiple of (1 + cap): the slack
+# supplier_utility allows, which the master's answers keep to.
+_CAP_TOL = 1e-9
 
 # An entry of the dual gradient counts as negative only beyond this multiple
 # of the magnitude of the terms it sums: about 100 times their rounding error,
@@ -65,7 +70,10 @@ class CutSet:
     costs and norms, appended as cuts arrive and rebuilt only by
     :meth:`keep_last`, and the free set on which the last
     :func:`maximize_cut_model` call ended, keyed by cut so that it outlives
-    :meth:`keep_last`.
+    :meth:`keep_last`.  With that free set it keeps the set's columns and
+    their KKT matrix at the last call's ``rho``, built anew only when the
+    free set or ``rho`` changes, so a warm start only builds the right-hand
+    side and solves.
     """
 
     def __init__(self, offsets=(), grads=()):
@@ -77,7 +85,8 @@ class CutSet:
         if self._ids:
             self._set_columns(np.array(list(self._ids)))
         self._free = []  # last free set: cut ids, and -1 - i for bound i (-1 - n: cap)
-        self._free_cols = self._free_gram = None
+        self._free_cols = None
+        self._free_kkt = (None, None)  # (rho, KKT matrix of the free columns)
 
     def __len__(self):
         return len(self._ids)
@@ -130,17 +139,19 @@ class CutSet:
         self._norms = _norms(A)
         self._abs_B = np.abs(A[:n])
 
-    def _last_free(self, m):
+    def _last_free(self, m, rho):
         """The last call's free set as (columns among the first ``m``, their
-        dual columns, their Gram matrix), or None if one of them is gone."""
+        dual columns, their KKT matrix at ``rho``), or None if one of them
+        is gone."""
         K, first = len(self), self._next_id - len(self)
         free = [key - first if key >= 0 else K - 1 - key for key in self._free]
         if not free or min(free) < 0 or max(free) >= m:
             return None
-        if self._free_gram is None:
-            cols = self._A[:, free]
-            self._free_cols, self._free_gram = cols, cols[:-1].T @ cols[:-1]
-        return free, self._free_cols, self._free_gram
+        if self._free_cols is None:
+            self._free_cols = self._A[:, free]
+        if self._free_kkt[0] != rho:
+            self._free_kkt = (rho, _kkt_matrix(self._free_cols, rho))
+        return free, self._free_cols, self._free_kkt[1]
 
     def _remember(self, free):
         K, first = len(self), self._next_id - len(self)
@@ -148,7 +159,7 @@ class CutSet:
         if keys != self._free:
             # a column's entries never change, so these stay valid while
             # the same cuts are free
-            self._free, self._free_cols, self._free_gram = keys, None, None
+            self._free, self._free_cols, self._free_kkt = keys, None, (None, None)
 
 
 def _row(offset, grad):
@@ -181,11 +192,11 @@ def maximize_cut_model(cuts, center, rho, total_cap=None):
     m = q.size
     B = A[:n]
 
-    start = cuts._last_free(m)
+    start = cuts._last_free(m, rho)
     step = None
     if start is not None and min(start[0]) < K:
-        free, cols, gram = start
-        step = _free_optimum(cols, q[free], center, rho, gram)
+        free, cols, kkt = start
+        step = _free_optimum(cols, q[free], center, rho, kkt)
     if step is not None and step[1].min() > 0.0:
         x, y, t, w = step
     else:
@@ -236,36 +247,54 @@ def maximize_cut_model(cuts, center, rho, total_cap=None):
             step = _free_optimum(A[:, free], q[free], center, rho)
         if step is None:
             w = B[:, free] @ y
+            x = center + w / rho
             break
         x, y, t, w = step
 
     cuts._remember(free)
     value = float(q[free] @ y + center @ w + w @ w / (2.0 * rho))
-    # x is primal feasible up to rounding; make it exactly so on the bounds
-    x = np.maximum(center + w / rho, 0.0)
-    x[[i - K for i in free if K <= i < K + n]] = 0.0
+    # x = center + w / rho is primal feasible up to rounding; make it
+    # exactly so on the bounds
+    x = np.maximum(x, 0.0)
+    bounds = [i - K for i in free if K <= i < K + n]
+    if bounds:
+        x[bounds] = 0.0
+    if total_cap is not None and np.add.reduce(x) > total_cap + _CAP_TOL * (1.0 + total_cap):
+        # w / rho rounds at the scale of w over rho, which a small rho makes
+        # larger than the slack a plan has on its cap; within that slack x
+        # keeps its bits
+        x = project_capped(x, total_cap)
     return x, value
 
 
-def _free_optimum(cols, q_free, center, rho, gram=None):
-    """(x, y, t, w) minimizing the dual over the free columns ``cols`` with
-    costs ``q_free``, the rest at zero: t is the multiplier of the simplex
-    row and w the free columns' weighted sum, given their Gram matrix
-    ``gram`` or not; None if the columns are dependent."""
-    n = center.size
+def _kkt_matrix(cols, rho):
+    """KKT matrix of the dual restricted to the free columns ``cols``: their
+    Gram matrix over rho, bordered by the simplex row."""
+    n = cols.shape[0] - 1
     Bf = cols[:n]
-    if gram is None:
-        gram = Bf.T @ Bf
-    f = q_free.size
+    f = cols.shape[1]
     M = np.empty((f + 1, f + 1))
-    M[:f, :f] = gram / rho
+    M[:f, :f] = (Bf.T @ Bf) / rho
     M[:f, f] = M[f, :f] = cols[n]
     M[f, f] = 0.0
+    return M
+
+
+def _free_optimum(cols, q_free, center, rho, kkt=None):
+    """(x, y, t, w) minimizing the dual over the free columns ``cols`` with
+    costs ``q_free``, the rest at zero: t is the multiplier of the simplex
+    row and w the free columns' weighted sum, given their KKT matrix ``kkt``
+    at ``rho`` or not; None if the columns are dependent."""
+    n = center.size
+    Bf = cols[:n]
+    if kkt is None:
+        kkt = _kkt_matrix(cols, rho)
+    f = q_free.size
     rhs = np.empty(f + 1)
     rhs[:f] = -q_free - center @ Bf
     rhs[f] = 1.0
     try:
-        sol = np.linalg.solve(M, rhs)
+        sol = np.linalg.solve(kkt, rhs)
     except np.linalg.LinAlgError:
         return None
     y = sol[:f]

@@ -15,6 +15,7 @@ the iteration converges to a maximizer of the summed utilities.
 
 import json
 from dataclasses import dataclass, replace
+from math import sqrt
 
 import numpy as np
 
@@ -203,18 +204,24 @@ def coordinator_step(state, responses):
     """One ADMM coordinator update: average the responses (price-adjusted)
     into a new proposal and move each agent's prices by the disagreement."""
     X = np.asarray(responses, dtype=float)
-    if X.shape != state.prices.shape:
+    P = state.prices
+    if X.shape != P.shape:
         raise DimensionError(
-            f"got responses of shape {X.shape}, expected {state.prices.shape}"
+            f"got responses of shape {X.shape}, expected {P.shape}"
         )
     rho = state.rho
-    z_new = np.mean(X + state.prices / rho, axis=0)
-    prices = state.prices + rho * (X - z_new[None, :])
+    # np.mean and np.linalg.norm spelled as the reductions they run, which
+    # gives their bits without the cost of their Python wrappers
+    z_new = np.add.reduce(X + P / rho, axis=0) / P.shape[0]
+    D = X - z_new
+    prices = P + rho * D
     # Pin the zero-sum dual-feasibility identity exactly; float drift would
     # otherwise accumulate over thousands of iterations.
-    prices[-1] = -prices[:-1].sum(axis=0)
-    r_primal = float(np.max(np.linalg.norm(X - z_new[None, :], axis=1), initial=0.0))
-    r_dual = float(rho * np.linalg.norm(z_new - state.z))
+    prices[-1] = -np.add.reduce(prices[:-1], axis=0)
+    # the largest row norm; sqrt is monotone, so it may follow the max
+    r_primal = sqrt(np.add.reduce(D * D, axis=1).max(initial=0.0))
+    dz = z_new - state.z
+    r_dual = float(rho * sqrt(dz.dot(dz)))
     return ConsensusState(
         iteration=state.iteration + 1,
         z=z_new,
@@ -284,7 +291,7 @@ def run_consensus(agents, config=None, trace=None):
         if emit:
             emit({"iteration": state.iteration, "z": state.z.tolist(),
                   "r_primal": state.r_primal, "r_dual": state.r_dual, "rho": state.rho})
-        znorm = float(np.linalg.norm(state.z))
+        znorm = sqrt(state.z.dot(state.z))
         if (state.r_primal <= config.eps_abs + config.eps_rel * znorm
                 and state.r_dual <= config.eps_abs + config.eps_rel * state.rho * znorm):
             converged = True

@@ -31,13 +31,11 @@ from .errors import DimensionError, ParameterError, StateError
 MODES = ("none", "full-horizon")
 # free weeks up to which the retailer's prox is solved exactly on its
 # 2**weeks affine pieces; wider windows keep the cutting-plane best response.
-# Timed on one coordinated week of 8 random windows with every week free,
-# the exact prox takes 1.09x the cutting-plane time at 4 free weeks, 0.84x
-# at 6, 0.79x at 8, 1.16x at 10, 2.4x at 12 and 4.7x at 13, where the pieces
-# double per week: with both masters warm-started, the crossover is near 9
-# weeks.  The limit stays at 12, since moving it changes the reports of
-# windows with 9 to 12 free weeks.
-_EXACT_PROX_MAX_WEEKS = 12
+# Timed on one coordinated week of 16 random windows with every week free
+# (best of 5 passes, 4 runs), the exact prox takes 0.66-0.87x the
+# cutting-plane time at 9 free weeks, 1.03-1.27x at 10 and 1.50-2.46x at 11,
+# where the pieces double per week (BENCH_22.json, exact_prox_crossover).
+_EXACT_PROX_MAX_WEEKS = 9
 
 
 @dataclass(frozen=True)
@@ -268,8 +266,8 @@ class DynamicRetailerAgent(_WindowAgent):
     """Retailer flow utility over the free weeks, capped at the window's
     uncovered forecast total (stock beyond demand has no retail value).
 
-    Up to 12 free weeks (``_EXACT_PROX_MAX_WEEKS``) the proximal best response
-    is exact: one cut-model master call on the utility's 4096 or fewer affine
+    Up to 9 free weeks (``_EXACT_PROX_MAX_WEEKS``) the proximal best response
+    is exact: one cut-model master call on the utility's 512 or fewer affine
     pieces.  The agent builds the pieces' :class:`CutSet` on the first call and
     keeps it for the week, so each call starts from the free set where the
     last one ended.  Wider windows have no ``prox_respond`` and go through the
@@ -302,7 +300,9 @@ class DynamicSupplierAgent(_WindowAgent):
     order (and any committed prefix) for the smoothing term.
 
     Its exact prox keeps the Hessian of the last ``rho`` and the bounds it
-    pinned at the last call, where the next call's pinning starts.
+    pinned at the last call, where the next call's pinning starts.  When
+    nothing is pinned, a first solve with every entry nonnegative is the
+    answer: there is no bound to release.
     """
 
     def __init__(self, model, state, prefix=()):
@@ -331,24 +331,28 @@ class DynamicSupplierAgent(_WindowAgent):
         b = m - prices + rho * z
         b[0] += 2.0 * kappa * (float(self.prefix[-1]) if self.prefix.size
                                else self.state.last_order)
-        pinned = self._pinned.copy()
+        pinned = self._pinned
         for _ in range(4 * n + 8):
             if not pinned.any():
                 y = np.linalg.solve(H, b)
+                if not y.min() < -1e-12:
+                    # nothing is pinned, so nothing is released
+                    self._pinned = pinned
+                    return np.maximum(y, 0.0)
             else:
                 y = np.zeros(n)
                 free = ~pinned
                 if free.any():
                     y[free] = np.linalg.solve(H[np.ix_(free, free)], b[free])
             if y.min() < -1e-12:  # pinned entries are 0: a free one is negative
-                pinned |= y < -1e-12
+                pinned = pinned | (y < -1e-12)
                 continue
             slack_grad = b - H @ y
             release = pinned & (slack_grad > 1e-12)
             if not release.any():
                 self._pinned = pinned
                 return np.maximum(y, 0.0)
-            pinned &= ~release
+            pinned = pinned & ~release
         raise ParameterError("supplier prox active set failed to settle")  # pragma: no cover
 
 

@@ -78,7 +78,7 @@ def encode(msg):
             raise ProtocolError(f"{msg.kind} message is missing field {name!r}")
         value = msg.payload[name]
         if name in _VECTOR_FIELDS:
-            value = [float(v) for v in np.asarray(value, dtype=float)]
+            value = np.asarray(value, dtype=float).tolist()
         doc[name] = value
     line = json.dumps(doc, separators=(",", ":"), allow_nan=False)
     if "\n" in line:  # pragma: no cover - json never emits raw newlines
@@ -88,6 +88,11 @@ def encode(msg):
 
 def _reject_constant(token):
     raise ParseError(f"non-finite number {token!r}")
+
+
+# one decoder for every line: json.loads builds a new one per call when it
+# is given a hook
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 
 
 def _finite(number, name):
@@ -111,7 +116,10 @@ def decode(line):
     if not text:
         raise ParseError("empty line")
     try:
-        doc = json.loads(text.decode("utf-8"), parse_constant=_reject_constant)
+        text = text.decode("utf-8")
+        if text.startswith("\ufeff"):  # json.loads' own check
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        doc = _DECODER.decode(text)
     except UnicodeDecodeError as exc:
         raise ParseError("invalid utf-8", offset=exc.start) from exc
     except json.JSONDecodeError as exc:
@@ -139,10 +147,16 @@ def decode(line):
             if not isinstance(value, int) or isinstance(value, bool) or value < 0:
                 raise ParseError(f"{name} must be a nonnegative integer")
         elif name in _VECTOR_FIELDS:
-            if not isinstance(value, list) or not all(
-                    isinstance(v, (int, float)) and not isinstance(v, bool) for v in value):
+            # json gives numbers as exactly int or float (bool is neither)
+            if not isinstance(value, list) or not set(map(type, value)) <= {int, float}:
                 raise ParseError(f"{name} must be a list of numbers")
-            value = np.array([_finite(v, name) for v in value], dtype=float)
+            try:
+                finite = all(map(math.isfinite, value))
+            except OverflowError:  # an integer too large for a float
+                finite = False
+            if not finite:
+                raise ParseError(f"non-finite number in {name}")
+            value = np.array(value, dtype=float)
         elif name in ("rho", "fee"):
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise ParseError(f"{name} must be a number")
@@ -167,12 +181,15 @@ class _LineChannel:
         # one small message per iteration: latency matters, batching does not
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._buffer = b""
+        self._timeout = sock.gettimeout()
 
     def send(self, msg):
         self.sock.sendall(encode(msg))
 
     def recv(self, timeout):
-        self.sock.settimeout(timeout)
+        if timeout != self._timeout:  # each settimeout costs system calls
+            self.sock.settimeout(timeout)
+            self._timeout = timeout
         while b"\n" not in self._buffer:
             if len(self._buffer) > MAX_LINE_BYTES:
                 raise ParseError(f"line exceeds {MAX_LINE_BYTES} bytes",

@@ -141,6 +141,37 @@ def test_coordinator_step_dimension_error():
         coordinator_step(state, np.zeros((3, 2)))
 
 
+def reference_coordinator_step(state, responses):
+    """The coordinator update written with np.mean and np.linalg.norm."""
+    X = np.asarray(responses, dtype=float)
+    rho = state.rho
+    z_new = np.mean(X + state.prices / rho, axis=0)
+    prices = state.prices + rho * (X - z_new[None, :])
+    prices[-1] = -prices[:-1].sum(axis=0)
+    r_primal = float(np.max(np.linalg.norm(X - z_new[None, :], axis=1), initial=0.0))
+    r_dual = float(rho * np.linalg.norm(z_new - state.z))
+    return z_new, prices, r_primal, r_dual
+
+
+def test_coordinator_step_matches_the_numpy_reference_bit_for_bit():
+    # dims from 8 on reach numpy's pairwise summation in the row norms
+    rng = np.random.default_rng(97)
+    for _ in range(3000):
+        M = int(rng.integers(2, 5))
+        dim = int(rng.integers(1, 20))
+        scale = 10.0 ** rng.integers(-3, 6)
+        prices = rng.normal(scale=scale, size=(M, dim))
+        prices[-1] = -prices[:-1].sum(axis=0)
+        state = _state(prices, rng.uniform(0.0, scale, size=dim),
+                       rho=float(rng.choice([1 / 256, 0.3, 1.0, 3.0, 64.0])))
+        responses = rng.uniform(0.0, scale, size=(M, dim))
+        got = coordinator_step(state, list(responses))
+        z, prices, r_primal, r_dual = reference_coordinator_step(state, list(responses))
+        assert got.z.tobytes() == z.tobytes()
+        assert got.prices.tobytes() == prices.tobytes()
+        assert (got.r_primal.hex(), got.r_dual.hex()) == (r_primal.hex(), r_dual.hex())
+
+
 TOY_CONFIG = ConsensusConfig(eps_abs=1e-6, eps_rel=1e-6)
 
 

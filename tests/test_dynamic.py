@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from conftest import prox_objective
+from coplan import dynamic
 from coplan.consensus import PlanAgent, best_response
 from coplan.dynamic import (
+    DEFAULT_DYNAMIC_CONFIG,
     DynamicRetailerAgent,
     DynamicSupplierAgent,
     InventoryModel,
@@ -427,7 +429,8 @@ def test_wide_windows_keep_the_cutting_plane_response():
                            horizon=13, smoothing_cost=0.8, supplier_margin=2.5)
     state = model.initial_state()
     assert DynamicRetailerAgent(model, state).prox_respond is None      # 13 free weeks
-    assert DynamicRetailerAgent(model, state, prefix=[9.0]).prox_respond is not None
+    committed = [9.0] * (13 - dynamic._EXACT_PROX_MAX_WEEKS)
+    assert DynamicRetailerAgent(model, state, prefix=committed).prox_respond is not None
     demand = np.array([8.0, 6.0, 12.0, 5.0, 14.0, 6.0, 4.0, 13.0, 9.0, 9.0, 7.0, 10.0, 6.0, 8.0])
     records, final = simulate(model, demand, mode="none")
     assert len(records) == 14
@@ -459,3 +462,75 @@ def test_supplier_prox_after_a_penalty_change_matches_a_fresh_agent():
             got = agent.prox_respond(prices, z, rho)
             want = DynamicSupplierAgent(model, state, prefix).prox_respond(prices, z, rho)
             assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
+def full_pinning_prox(agent, pinned, prices, z, rho):
+    """The supplier's prox by the pinning loop without its early exit: every
+    settled solve is checked for bounds to release.  Returns the answer and
+    the bounds pinned at the end."""
+    n, kappa = agent.dim, agent.model.smoothing_cost
+    diag = np.full(n, rho + 4.0 * kappa)
+    diag[-1] = rho + 2.0 * kappa
+    H = np.diag(diag) - 2.0 * kappa * (np.eye(n, k=1) + np.eye(n, k=-1))
+    b = agent.model.supplier_margin - prices + rho * z
+    b[0] += 2.0 * kappa * (float(agent.prefix[-1]) if agent.prefix.size
+                           else agent.state.last_order)
+    pinned = pinned.copy()
+    for _ in range(4 * n + 8):
+        y = np.zeros(n)
+        free = ~pinned
+        if free.all():
+            y = np.linalg.solve(H, b)
+        elif free.any():
+            y[free] = np.linalg.solve(H[np.ix_(free, free)], b[free])
+        if y.min() < -1e-12:
+            pinned |= y < -1e-12
+            continue
+        release = pinned & (b - H @ y > 1e-12)
+        if not release.any():
+            return np.maximum(y, 0.0), pinned
+        pinned &= ~release
+    raise AssertionError("the pinning loop did not settle")
+
+
+def test_supplier_prox_matches_the_full_pinning_loop_bit_for_bit():
+    rng = np.random.default_rng(73)
+    pins = releases = 0
+    for _ in range(80):
+        model, state, prefix = random_window(rng, int(rng.integers(1, 9)))
+        model = replace(model, smoothing_cost=float(rng.uniform(0.05, 2.0)),
+                        supplier_margin=float(rng.uniform(0.5, 5.0)))
+        agent = DynamicSupplierAgent(model, state, prefix)
+        pinned = np.zeros(agent.dim, dtype=bool)
+        rho = float(rng.choice([0.5, 3.0, 12.0]))
+        for _ in range(8):
+            if rng.random() < 0.3:
+                rho *= float(rng.choice([0.5, 2.0]))
+            # prices now small, now large enough that bounds bind
+            prices = rng.normal(0.0, float(rng.choice([0.5, 15.0])), size=agent.dim)
+            z = rng.uniform(0.0, 20.0, size=agent.dim)
+            got = agent.prox_respond(prices, z, rho)
+            want, now_pinned = full_pinning_prox(agent, pinned, prices, z, rho)
+            assert got.tobytes() == want.tobytes()
+            assert np.array_equal(agent._pinned, now_pinned)
+            pins += int(now_pinned.any())
+            releases += int((pinned & ~now_pinned).any())
+            pinned = now_pinned
+    assert pins >= 30 and releases >= 20  # 40 and 29 with this seed
+
+
+def test_a_window_just_past_the_exact_prox_limit_agrees_with_the_exact_prox(monkeypatch):
+    weeks = dynamic._EXACT_PROX_MAX_WEEKS + 1
+    rng = np.random.default_rng(79)
+    model = InventoryModel(forecasts=rng.uniform(2.0, 20.0, size=weeks + 2), horizon=weeks,
+                           smoothing_cost=0.8)
+    state = model.initial_state(on_hand=6.0)
+    assert DynamicRetailerAgent(model, state).prox_respond is None
+    cutting_plane = coordinated_plan(model, state)
+    monkeypatch.setattr(dynamic, "_EXACT_PROX_MAX_WEEKS", weeks)
+    assert DynamicRetailerAgent(model, state).prox_respond is not None
+    exact = coordinated_plan(model, state)
+    assert cutting_plane.converged and exact.converged
+    cfg = DEFAULT_DYNAMIC_CONFIG
+    tol = cfg.eps_abs + cfg.eps_rel * np.linalg.norm(exact.orders)
+    assert np.abs(cutting_plane.orders - exact.orders).max() <= tol

@@ -98,6 +98,8 @@ def test_parse_errors():
         decode(b'{"kind":"bye","session":"s1","stray":1}')
     with pytest.raises(ParseError):
         decode(b'{"kind":"bye"}')
+    with pytest.raises(ParseError, match="BOM"):
+        decode(b'\xef\xbb\xbf{"kind":"bye","session":"s1"}')
 
 
 def test_decoder_survives_fuzzed_lines():

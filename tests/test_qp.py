@@ -235,9 +235,9 @@ def warm_starts(monkeypatch):
     seen = []
     free_optimum = _qp._free_optimum
 
-    def spy(cols, q_free, center, rho, gram=None):
-        step = free_optimum(cols, q_free, center, rho, gram)
-        if gram is not None:  # only the warm start passes the kept Gram matrix
+    def spy(cols, q_free, center, rho, kkt=None):
+        step = free_optimum(cols, q_free, center, rho, kkt)
+        if kkt is not None:  # only the warm start passes the kept KKT matrix
             seen.append(step is not None and step[1].min() > 0.0)
         return step
     monkeypatch.setattr(_qp, "_free_optimum", spy)
@@ -338,3 +338,48 @@ def test_a_free_set_of_bounds_only_starts_cold(warm_starts):
     cold_x, cold_val = cold_call(cuts, center, 1.5, 3.0)
     assert (x.tolist(), val) == (cold_x.tolist(), cold_val)
     assert_certified(cuts.offsets, cuts.grads, center, 1.5, 3.0, x, val)
+
+
+def with_free_set_of(cuts):
+    """A fresh :class:`CutSet` of the same cuts that remembers the same free
+    set, so that it builds that set's KKT matrix anew on its next call."""
+    fresh = CutSet(cuts.offsets, cuts.grads)
+    K, first = len(cuts), cuts._next_id - len(cuts)
+    free = [key - first if key >= 0 else K - 1 - key for key in cuts._free]
+    if free and min(free) >= 0:  # else a free cut is gone and both start cold
+        fresh._remember(free)
+    return fresh
+
+
+def test_a_kept_kkt_matrix_answers_as_one_built_anew(warm_starts):
+    # the penalty changes, the free set changes and keep_last drops cuts
+    # around a free set that survives; each call gives the bits of a call
+    # that builds its KKT matrix from scratch
+    rng = np.random.default_rng(101)
+    events = {"rho": 0, "free set": 0, "keep_last": 0}
+    for draw in (random_instance, nearly_parallel_instance) * 20:
+        offsets, grads, center, rho, cap = draw(rng)
+        cuts = CutSet(offsets, grads)
+        maximize_cut_model(cuts, center, rho, total_cap=cap)
+        for _ in range(15):
+            roll = rng.random()
+            if roll < 0.2:
+                rho *= float(rng.choice([0.5, 2.0]))
+                events["rho"] += 1
+            elif roll < 0.45:
+                for _ in range(3):
+                    cuts.add(float(rng.normal(scale=100.0)),
+                             rng.normal(scale=50.0, size=center.size))
+                had_kkt = cuts._free_kkt[0] is not None
+                cuts.keep_last(len(cuts) - 1)
+                first = cuts._next_id - len(cuts)
+                events["keep_last"] += had_kkt and all(k >= first for k in cuts._free if k >= 0)
+            center = center + rng.normal(scale=float(rng.choice([0.01, 5.0])), size=center.size)
+            fresh = with_free_set_of(cuts)
+            free_before = cuts._free
+            x, val = maximize_cut_model(cuts, center, rho, total_cap=cap)
+            want_x, want_val = maximize_cut_model(fresh, center, rho, total_cap=cap)
+            assert (x.tobytes(), val) == (want_x.tobytes(), want_val)
+            events["free set"] += cuts._free != free_before
+    assert min(events.values()) >= 20, events
+    assert sum(warm_starts) > 100

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import random_bilateral
-from coplan import mechanism, reports, transport
+from coplan import _qp, mechanism, reports, transport
 from coplan.cli import main
 from coplan.consensus import ConsensusConfig
 from coplan.errors import ParameterError, SchemaError
@@ -440,6 +440,32 @@ def test_a_best_response_stops_on_a_cut_it_already_holds(mode, tmp_path, capsys)
     path = tmp_path / "stall.scn"
     path.write_text(json.dumps(STALL))
     assert main(["--scenario", str(path), "--mode", mode]) == 0, capsys.readouterr().err
+
+
+# A supplier with no capacity at rho = 1e-3: w / rho in the QP master rounds
+# at about 1e-6, so its 4th best response handed supplier_utility a plan of
+# total 0.000000 above the cap 0 (exit 2, in cpp mode and over the wire).
+# The full scenario runs max_iters 5000 and does not converge; 20 reach the
+# fault and keep the test fast.
+ZERO_CAP = {
+    "name": "zero-cap", "mode": "cpp",
+    "retailer": {"demand": [4000, 6000], "arc_costs": [[1000, 5000], [2000, 3000]],
+                 "gross_profit_per_unit": [20000, 20000], "lost_sales_penalty": 1000000},
+    "supplier": {"capacities": [0], "arc_costs": [[10000, 5000]],
+                 "gross_profit_per_unit": [20000, 20000]},
+    "fee": {"variant": "none"},
+    "consensus": {"rho": 0.001, "eps_abs": 0.0001, "eps_rel": 1e-06, "max_iters": 20,
+                  "adapt_rho": False},
+}
+
+
+@pytest.mark.parametrize("mode", ["cpp", "protocol"])
+def test_a_master_plan_past_a_zero_cap_by_rounding_is_projected(mode, tmp_path, capsys):
+    assert _qp._CAP_TOL == transport._TOL  # the master keeps to supplier_utility's slack
+    path = tmp_path / "zero-cap.scn"
+    path.write_text(json.dumps(ZERO_CAP))
+    argv = ["--scenario", str(path), "--mode", mode, "--analyses", "jit,firstbest,vcg"]
+    assert main(argv) == 0, capsys.readouterr().err
 
 
 def pair_doc(retailer, supplier, fee, mode, quantity=1.0, money=1.0):

@@ -15,7 +15,7 @@ the iteration converges to a maximizer of the summed utilities.
 
 import json
 from dataclasses import dataclass, replace
-from math import sqrt
+from math import inf, sqrt
 
 import numpy as np
 
@@ -113,8 +113,8 @@ def best_response(agent, prices, z, rho, cuts=None):
         raise DimensionError(
             f"prices {prices.shape} / proposal {z.shape} do not match agent dimension {agent.dim}"
         )
-    if rho <= 0:
-        raise ParameterError("penalty rho must be positive")
+    if not 0 < rho < inf:
+        raise ParameterError("penalty rho must be positive and finite")
     prox = getattr(agent, "prox_respond", None)
     if prox is not None:
         return BestResponse(plan=prox(prices, z, rho), gap=0.0, evaluations=0)

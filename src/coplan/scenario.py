@@ -1,13 +1,15 @@
-"""Scenario files: one JSON document bundling both agents' private data plus
-mechanism and coordination settings.
-
-The schema is strict: unknown fields are rejected with their dotted path, and
-defaults are applied at load time so a saved scenario round-trips exactly.
-``toy`` and ``toy_dynamic`` are bundled as canonical examples.
+"""Scenario files: one JSON document bundling both agents' private data plus mechanism
+and coordination settings, read by one table per block that maps each JSON key, in the
+order keys are checked, to the dataclass field it fills and the reader that checks it.
+``to_dict`` walks the same tables, so a saved scenario round-trips exactly.  Unknown keys
+and non-finite numbers (``NaN``, ``Infinity``, integers past a float's range) are
+rejected with their dotted path; a key left out takes the default of the dataclass it
+fills.  ``toy`` and ``toy_dynamic`` are bundled examples.
 """
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import MISSING, dataclass, fields
 from importlib import resources
 from pathlib import Path
 
@@ -22,15 +24,153 @@ from .transport import RetailerSpec, SupplierSpec
 RUN_MODES = ("centralized", "cpp", "protocol")
 ANALYSES = ("jit", "firstbest", "vcg", "menu", "dynamic")
 
-_CONSENSUS_FIELDS = ("rho", "eps_abs", "eps_rel", "max_iters", "adapt_rho")
-
 
 @dataclass(frozen=True)
 class DynamicSettings:
     model: InventoryModel
-    initial_inventory: float
-    demand_path: np.ndarray      # realized demand, defaults to the forecasts
-    commitment: str
+    initial_inventory: float = 0.0
+    demand_path: np.ndarray | None = None   # realized demand, defaults to the forecasts
+    commitment: str = "none"
+
+    def __post_init__(self):
+        path = (self.model.forecasts.copy() if self.demand_path is None
+                else np.asarray(self.demand_path, dtype=float))
+        if path.shape != self.model.forecasts.shape:
+            raise SchemaError("dynamic.demand_path", "must cover every forecast week")
+        object.__setattr__(self, "demand_path", path)
+
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _floats(values, path):
+    """``values`` as floats, none of them NaN, infinite or past a float's range."""
+    try:
+        out = [float(v) for v in values]
+    except OverflowError:
+        out = [math.inf]
+    if not all(map(math.isfinite, out)):
+        raise SchemaError(path, "non-finite number")
+    return out
+
+
+def _number(value, path):
+    if not _is_number(value):
+        raise SchemaError(path, "expected a number")
+    return _floats((value,), path)[0]
+
+
+def _vector(value, path):
+    if not isinstance(value, list) or not value or not all(map(_is_number, value)):
+        raise SchemaError(path, "expected a nonempty list of numbers")
+    return _floats(value, path)
+
+
+def _matrix(value, path):
+    if (not isinstance(value, list) or not value
+            or not all(isinstance(row, list) and row for row in value)):
+        raise SchemaError(path, "expected a nonempty matrix")
+    if any(len(row) != len(value[0]) or not all(map(_is_number, row)) for row in value):
+        raise SchemaError(path, "rows must be equal-length lists of numbers")
+    return [_floats(row, path) for row in value]
+
+
+def _kind(accepts, message):
+    """A reader that passes on each value ``accepts`` takes and rejects the rest."""
+    def read(value, path):
+        if not accepts(value):
+            raise SchemaError(path, message)
+        return value
+    return read
+
+
+def _one_of(options):
+    return _kind(lambda value: value in options, f"expected one of {options}")
+
+
+_integer = _kind(lambda v: isinstance(v, int) and _is_number(v), "expected an integer")
+_count = _kind(lambda v: isinstance(v, int) and _is_number(v) and v >= 1,
+               "expected a positive integer")
+_boolean = _kind(lambda v: isinstance(v, bool), "expected a boolean")
+
+# A reader's rejection names the block, as the block's dataclass names it for its own
+# checks, except for entries marked _NAMED, which name the key.
+_NAMED = "named"
+
+_RETAILER = {
+    "demand": ("demand", _vector),
+    "arc_costs": ("arc_costs", _matrix),
+    "gross_profit_per_unit": ("gross_profit", _vector),
+    "lost_sales_penalty": ("lost_sales_penalty", _number),
+}
+_SUPPLIER = {
+    "capacities": ("capacities", _vector),
+    "arc_costs": ("arc_costs", _matrix),
+    "gross_profit_per_unit": ("gross_profit", _vector),
+}
+_FEE = {
+    "variant": ("variant", _one_of(FEE_VARIANTS), _NAMED),
+    "alpha": ("alpha", _number), "beta": ("beta", _number), "roi_rate": ("roi_rate", _number),
+    "over_rate": ("over_rate", _number), "under_rate": ("under_rate", _number),
+}
+_DYNAMIC = {   # fills InventoryModel, and DynamicSettings for the fields that are its own
+    "forecasts": ("forecasts", _vector, _NAMED),
+    "commitment": ("commitment", _one_of(MODES), _NAMED),
+    "horizon": ("horizon", _integer, _NAMED),
+    "holding_cost": ("holding_cost", _number), "lost_sales_cost": ("lost_sales_cost", _number),
+    "retailer_margin": ("retailer_margin", _number),
+    "supplier_margin": ("supplier_margin", _number),
+    "smoothing_cost": ("smoothing_cost", _number),
+    "target_inventory": ("target_inventory", _vector),
+    "demand_path": ("demand_path", _vector, _NAMED),
+    "initial_inventory": ("initial_inventory", _number, _NAMED),
+}
+_CONSENSUS = {
+    "max_iters": ("max_iters", _count, _NAMED),
+    "adapt_rho": ("adapt_rho", _boolean, _NAMED),
+    "rho": ("rho", _number, _NAMED), "eps_abs": ("eps_abs", _number, _NAMED),
+    "eps_rel": ("eps_rel", _number, _NAMED),
+}
+# each block dataclass's fields, mapped to whether the field is required (has no default)
+_FIELDS = {cls: {f.name: f.default is f.default_factory is MISSING for f in fields(cls)}
+           for cls in (RetailerSpec, SupplierSpec, FeePolicy, InventoryModel, ConsensusConfig)}
+
+
+def _require(doc, path, allowed):
+    if not isinstance(doc, dict):
+        raise SchemaError(path, f"expected an object, got {type(doc).__name__}")
+    unknown = sorted(set(doc) - set(allowed))
+    if unknown:
+        raise SchemaError(f"{path}.{unknown[0]}" if path else unknown[0], "unknown field")
+
+
+def _block(doc, path, table, cls, outer=None):
+    """``cls`` built from the keys of block ``doc`` that ``table`` reads, in table order,
+    and wrapped in ``outer`` with the fields not its own; a left-out key takes its default."""
+    _require(doc, path, table)
+    cls_fields = _FIELDS[cls]
+    own, rest = {}, {}
+    for key, (field, read, *named) in table.items():
+        try:
+            if key in doc:
+                (own if field in cls_fields else rest)[field] = read(doc[key], f"{path}.{key}")
+            elif cls_fields.get(field):
+                raise SchemaError(f"{path}.{key}", "required field is missing")
+        except SchemaError as exc:
+            if named:
+                raise
+            raise SchemaError(path, str(exc)) from exc
+    try:
+        built = cls(**own)
+    except CoplanError as exc:
+        raise SchemaError(path, str(exc)) from exc
+    return outer(built, **rest) if outer else built
+
+
+def _dump(values, table):
+    return {key: value.tolist() if isinstance(value := values[field], np.ndarray) else value
+            for key, (field, *_) in table.items()}
 
 
 @dataclass(frozen=True)
@@ -46,94 +186,17 @@ class Scenario:
 
     def to_dict(self):
         """Full document with all defaults resolved (load/save round-trips)."""
-        doc = {
+        dynamic = self.dynamic and {**vars(self.dynamic.model), **vars(self.dynamic)}
+        return {
             "name": self.name,
-            "retailer": {
-                "demand": self.retailer.demand.tolist(),
-                "arc_costs": self.retailer.arc_costs.tolist(),
-                "gross_profit_per_unit": self.retailer.gross_profit.tolist(),
-                "lost_sales_penalty": self.retailer.lost_sales_penalty,
-            },
-            "supplier": {
-                "capacities": self.supplier.capacities.tolist(),
-                "arc_costs": self.supplier.arc_costs.tolist(),
-                "gross_profit_per_unit": self.supplier.gross_profit.tolist(),
-            },
-            "fee": {
-                "variant": self.fee.variant,
-                "alpha": self.fee.alpha,
-                "beta": self.fee.beta,
-                "roi_rate": self.fee.roi_rate,
-                "over_rate": self.fee.over_rate,
-                "under_rate": self.fee.under_rate,
-            },
-            "menu_plans": None if self.menu_plans is None else
-                          [list(map(float, p)) for p in self.menu_plans],
-            "dynamic": None,
-            "consensus": {key: getattr(self.consensus, key) for key in _CONSENSUS_FIELDS},
+            "retailer": _dump(vars(self.retailer), _RETAILER),
+            "supplier": _dump(vars(self.supplier), _SUPPLIER),
+            "fee": _dump(vars(self.fee), _FEE),
+            "menu_plans": self.menu_plans and [list(map(float, p)) for p in self.menu_plans],
+            "dynamic": dynamic and _dump(dynamic, _DYNAMIC),
+            "consensus": _dump(vars(self.consensus), _CONSENSUS),
             "mode": self.mode,
         }
-        if self.dynamic is not None:
-            model = self.dynamic.model
-            doc["dynamic"] = {
-                "forecasts": model.forecasts.tolist(),
-                "horizon": model.horizon,
-                "holding_cost": model.holding_cost,
-                "lost_sales_cost": model.lost_sales_cost,
-                "retailer_margin": model.retailer_margin,
-                "supplier_margin": model.supplier_margin,
-                "smoothing_cost": model.smoothing_cost,
-                "target_inventory": model.target_inventory.tolist(),
-                "initial_inventory": self.dynamic.initial_inventory,
-                "demand_path": self.dynamic.demand_path.tolist(),
-                "commitment": self.dynamic.commitment,
-            }
-        return doc
-
-
-def _require(doc, path, allowed):
-    if not isinstance(doc, dict):
-        raise SchemaError(path, f"expected an object, got {type(doc).__name__}")
-    unknown = set(doc) - set(allowed)
-    if unknown:
-        raise SchemaError(f"{path}.{sorted(unknown)[0]}" if path else sorted(unknown)[0],
-                          "unknown field")
-
-
-def _number(doc, path, name, default=None):
-    if name not in doc:
-        if default is None:
-            raise SchemaError(f"{path}.{name}", "required field is missing")
-        return default
-    value = doc[name]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(f"{path}.{name}", "expected a number")
-    return float(value)
-
-
-def _vector(doc, path, name, default=None, required=True):
-    if name not in doc:
-        if required:
-            raise SchemaError(f"{path}.{name}", "required field is missing")
-        return default
-    value = doc[name]
-    if not isinstance(value, list) or not value or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in value):
-        raise SchemaError(f"{path}.{name}", "expected a nonempty list of numbers")
-    return [float(v) for v in value]
-
-
-def _matrix(doc, path, name):
-    value = doc.get(name)
-    if (not isinstance(value, list) or not value
-            or not all(isinstance(row, list) and row for row in value)):
-        raise SchemaError(f"{path}.{name}", "expected a nonempty matrix")
-    width = len(value[0])
-    for row in value:
-        if len(row) != width or not all(
-                isinstance(v, (int, float)) and not isinstance(v, bool) for v in row):
-            raise SchemaError(f"{path}.{name}", "rows must be equal-length lists of numbers")
-    return [[float(v) for v in row] for row in value]
 
 
 def scenario_from_dict(doc, name="scenario"):
@@ -142,133 +205,34 @@ def scenario_from_dict(doc, name="scenario"):
     name = doc.get("name", name)
     if not isinstance(name, str):
         raise SchemaError("name", "expected a string")
+    for block in ("retailer", "supplier"):
+        if block not in doc:
+            raise SchemaError(block, "required block is missing")
 
-    if "retailer" not in doc:
-        raise SchemaError("retailer", "required block is missing")
-    if "supplier" not in doc:
-        raise SchemaError("supplier", "required block is missing")
-
-    r = doc["retailer"]
-    _require(r, "retailer", ("demand", "arc_costs", "gross_profit_per_unit",
-                             "lost_sales_penalty"))
-    try:
-        retailer = RetailerSpec(
-            demand=_vector(r, "retailer", "demand"),
-            arc_costs=_matrix(r, "retailer", "arc_costs"),
-            gross_profit=_vector(r, "retailer", "gross_profit_per_unit"),
-            lost_sales_penalty=_number(r, "retailer", "lost_sales_penalty", default=1000.0),
-        )
-    except CoplanError as exc:
-        raise SchemaError("retailer", str(exc)) from exc
-
-    s = doc["supplier"]
-    _require(s, "supplier", ("capacities", "arc_costs", "gross_profit_per_unit"))
-    try:
-        supplier = SupplierSpec(
-            capacities=_vector(s, "supplier", "capacities"),
-            arc_costs=_matrix(s, "supplier", "arc_costs"),
-            gross_profit=_vector(s, "supplier", "gross_profit_per_unit"),
-        )
-    except CoplanError as exc:
-        raise SchemaError("supplier", str(exc)) from exc
+    retailer = _block(doc["retailer"], "retailer", _RETAILER, RetailerSpec)
+    supplier = _block(doc["supplier"], "supplier", _SUPPLIER, SupplierSpec)
     if supplier.n_inbound != retailer.n_inbound:
-        raise SchemaError("supplier.arc_costs",
-                          f"supplier serves {supplier.n_inbound} inbound nodes, "
-                          f"retailer has {retailer.n_inbound}")
+        raise SchemaError("supplier.arc_costs", f"supplier serves {supplier.n_inbound} "
+                          f"inbound nodes, retailer has {retailer.n_inbound}")
+    fee = _block(doc.get("fee", {}), "fee", _FEE, FeePolicy)
 
-    f = doc.get("fee", {})
-    _require(f, "fee", ("variant", "alpha", "beta", "roi_rate", "over_rate", "under_rate"))
-    variant = f.get("variant", "none")
-    if variant not in FEE_VARIANTS:
-        raise SchemaError("fee.variant", f"expected one of {FEE_VARIANTS}")
-    try:
-        fee = FeePolicy(
-            variant=variant,
-            alpha=_number(f, "fee", "alpha", default=0.0),
-            beta=_number(f, "fee", "beta", default=0.0),
-            roi_rate=_number(f, "fee", "roi_rate", default=0.0),
-            over_rate=_number(f, "fee", "over_rate", default=0.0),
-            under_rate=_number(f, "fee", "under_rate", default=0.0),
-        )
-    except CoplanError as exc:
-        raise SchemaError("fee", str(exc)) from exc
-
-    menu_plans = None
-    if doc.get("menu_plans") is not None:
-        raw = doc["menu_plans"]
-        if not isinstance(raw, list) or not raw:
+    menu_plans = doc.get("menu_plans")
+    if menu_plans is not None:
+        if not isinstance(menu_plans, list) or not menu_plans:
             raise SchemaError("menu_plans", "expected a nonempty list of plans")
-        menu_plans = []
-        for idx, plan in enumerate(raw):
-            if (not isinstance(plan, list) or len(plan) != retailer.n_inbound
-                    or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                               for v in plan)):
-                raise SchemaError(f"menu_plans[{idx}]",
-                                  f"expected {retailer.n_inbound} numbers")
-            menu_plans.append([float(v) for v in plan])
+        n = retailer.n_inbound
+        for idx, plan in enumerate(menu_plans):
+            if not isinstance(plan, list) or len(plan) != n or not all(map(_is_number, plan)):
+                raise SchemaError(f"menu_plans[{idx}]", f"expected {n} numbers")
+        menu_plans = [_floats(p, f"menu_plans[{i}]") for i, p in enumerate(menu_plans)]
 
-    dynamic = None
-    if doc.get("dynamic") is not None:
-        d = doc["dynamic"]
-        _require(d, "dynamic", ("forecasts", "horizon", "holding_cost", "lost_sales_cost",
-                                "retailer_margin", "supplier_margin", "smoothing_cost",
-                                "target_inventory", "initial_inventory", "demand_path",
-                                "commitment"))
-        forecasts = _vector(d, "dynamic", "forecasts")
-        commitment = d.get("commitment", "none")
-        if commitment not in MODES:
-            raise SchemaError("dynamic.commitment", f"expected one of {MODES}")
-        horizon = d.get("horizon", 6)
-        if isinstance(horizon, bool) or not isinstance(horizon, int):
-            raise SchemaError("dynamic.horizon", "expected an integer")
-        try:
-            model = InventoryModel(
-                forecasts=forecasts,
-                holding_cost=_number(d, "dynamic", "holding_cost", default=1.0),
-                lost_sales_cost=_number(d, "dynamic", "lost_sales_cost", default=9.0),
-                retailer_margin=_number(d, "dynamic", "retailer_margin", default=10.0),
-                supplier_margin=_number(d, "dynamic", "supplier_margin", default=3.0),
-                smoothing_cost=_number(d, "dynamic", "smoothing_cost", default=0.5),
-                horizon=horizon,
-                target_inventory=_vector(d, "dynamic", "target_inventory",
-                                         required=False, default=None),
-            )
-        except CoplanError as exc:
-            raise SchemaError("dynamic", str(exc)) from exc
-        demand_path = _vector(d, "dynamic", "demand_path", required=False,
-                              default=list(model.forecasts))
-        if len(demand_path) != model.n_weeks:
-            raise SchemaError("dynamic.demand_path", "must cover every forecast week")
-        dynamic = DynamicSettings(
-            model=model,
-            initial_inventory=_number(d, "dynamic", "initial_inventory", default=0.0),
-            demand_path=np.asarray(demand_path),
-            commitment=commitment,
-        )
-
-    c = doc.get("consensus", {})
-    _require(c, "consensus", _CONSENSUS_FIELDS)
-    default = ConsensusConfig()
-    max_iters = c.get("max_iters", default.max_iters)
-    if isinstance(max_iters, bool) or not isinstance(max_iters, int) or max_iters < 1:
-        raise SchemaError("consensus.max_iters", "expected a positive integer")
-    adapt = c.get("adapt_rho", default.adapt_rho)
-    if not isinstance(adapt, bool):
-        raise SchemaError("consensus.adapt_rho", "expected a boolean")
-    consensus = ConsensusConfig(
-        rho=_number(c, "consensus", "rho", default=default.rho),
-        eps_abs=_number(c, "consensus", "eps_abs", default=default.eps_abs),
-        eps_rel=_number(c, "consensus", "eps_rel", default=default.eps_rel),
-        max_iters=max_iters,
-        adapt_rho=adapt,
-    )
+    dynamic = doc.get("dynamic")
+    if dynamic is not None:
+        dynamic = _block(dynamic, "dynamic", _DYNAMIC, InventoryModel, outer=DynamicSettings)
+    consensus = _block(doc.get("consensus", {}), "consensus", _CONSENSUS, ConsensusConfig)
     if consensus.rho <= 0:
         raise SchemaError("consensus.rho", "must be positive")
-
-    mode = doc.get("mode", "centralized")
-    if mode not in RUN_MODES:
-        raise SchemaError("mode", f"expected one of {RUN_MODES}")
-
+    mode = _one_of(RUN_MODES)(doc.get("mode", "centralized"), "mode")
     return Scenario(name=name, retailer=retailer, supplier=supplier, fee=fee,
                     menu_plans=menu_plans, dynamic=dynamic, consensus=consensus, mode=mode)
 

@@ -1,19 +1,27 @@
-"""Compare the machine reports of the benchmark rounds with another checkout's.
+"""Digest the machine reports of the benchmark rounds, or compare them with
+another checkout's.
 
+    python tests/report_drift.py --seed 101
     python tests/report_drift.py --against ../other-checkout --seed 101
 
-For each workload of ``perfbench/workloads.py`` both checkouts run every item
-of the round that a benchmark run with ``--seed`` repeats, each in a child
-process that imports its own ``src``; the round comes from this checkout's
-``perfbench``.  Per workload the script prints how many items' reports differ
-at all, the largest absolute move of a float with its JSON path, and how many
-other values (counts, flags, strings, shapes, raised errors) differ.  Two
-checkouts that report ``moved 0`` on every workload print the same lines in
-``tests/report_digests.py``.  The script is not a test module, so pytest does
-not collect it.
+For each workload of ``perfbench/workloads.py`` a checkout runs every item of
+the round that a benchmark run with ``--seed`` repeats, in a child process
+that imports its own ``src``; the round comes from this checkout's
+``perfbench``.  An item that raises contributes its exception type and message
+instead of a report.
+
+Without ``--against`` the script prints per workload the item count and one
+sha256 over this checkout's ``Report.to_json()`` outputs in round order.  Two
+checkouts that print the same lines produce byte-identical reports on every
+item.  With ``--against`` both checkouts run the rounds, and the script prints
+per workload how many items' reports differ at all, the largest absolute move
+of a float with its JSON path, and how many other values (counts, flags,
+strings, shapes, raised errors) differ.  The script is not a test module, so
+pytest does not collect it.
 """
 
 import argparse
+import hashlib
 import json
 import math
 import subprocess
@@ -35,7 +43,7 @@ def emit(root, workload, seed):
         try:
             out = reports.run(scenario.scenario_from_dict(item["doc"]),
                               analyses=workloads.ANALYSES[workload]).to_json()
-        except Exception as exc:  # a raising item is part of the comparison too
+        except Exception as exc:  # a raising item is part of the digest and the comparison too
             out = f"{type(exc).__name__}: {exc}\n"
         print(json.dumps(out), flush=True)
 
@@ -75,6 +83,12 @@ def _parse(out):
         return out  # the message of an item that raised
 
 
+def digest(workload, seed):
+    items = outputs(ROOT, workload, seed)
+    sha = hashlib.sha256("".join(items).encode()).hexdigest()
+    return f"{workload:8s} {len(items):4d} items  sha256 {sha}"
+
+
 def compare(workload, seed, against):
     with ThreadPoolExecutor(2) as pool:
         mine, theirs = pool.map(lambda root: outputs(root, workload, seed), (ROOT, against))
@@ -99,13 +113,12 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.emit is not None:
         return emit(args.emit, args.workload, args.seed)
-    if args.against is None:
-        parser.error("--against is required")
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
 
     for workload in workloads.WORKLOADS:
-        print(compare(workload, args.seed, args.against.resolve()), flush=True)
+        print(digest(workload, args.seed) if args.against is None else
+              compare(workload, args.seed, args.against.resolve()), flush=True)
 
 
 if __name__ == "__main__":

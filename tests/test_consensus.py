@@ -1,5 +1,6 @@
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from coplan.consensus import (
     coordinator_step,
     run_consensus,
 )
-from coplan.errors import DimensionError, NonConvergenceError
+from coplan.errors import DimensionError, NonConvergenceError, ParameterError
 from coplan.mechanism import standalone_plans
 from coplan.transport import retailer_utility, supplier_utility
 
@@ -393,3 +394,14 @@ def test_endpoint_parity_with_direct_best_response(toy_supplier):
         got = ep.respond(prices, z, 1.0, it)
         want = best_response(agent, prices, z, 1.0, cuts=cuts).plan
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("rho", [math.inf, math.nan])
+def test_a_non_finite_rho_is_a_parameter_error(toy_retailer, toy_supplier, rho):
+    # rho = inf left the best response without a candidate (UnboundLocalError)
+    # and rho = nan without a cut (IndexError)
+    agents = [RetailerAgent(toy_retailer), SupplierAgent(toy_supplier)]
+    with pytest.raises(ParameterError, match="penalty rho must be positive"):
+        run_consensus(agents, ConsensusConfig(rho=rho))
+    with pytest.raises(ParameterError, match="penalty rho must be positive"):
+        best_response(agents[0], np.zeros(2), np.array([10.0, 90.0]), rho)

@@ -1,4 +1,6 @@
 import json
+import math
+import re
 import socket
 from dataclasses import replace
 from pathlib import Path
@@ -12,7 +14,12 @@ from coplan.cli import main
 from coplan.consensus import ConsensusConfig
 from coplan.errors import ParameterError, SchemaError
 from coplan.reports import run
-from coplan.scenario import load_scenario, save_scenario, scenario_from_dict
+from coplan.scenario import (
+    bundled_scenario_path,
+    load_scenario,
+    save_scenario,
+    scenario_from_dict,
+)
 
 
 @pytest.fixture(scope="module")
@@ -77,6 +84,176 @@ def test_schema_error_on_bad_dynamic_block(toy):
     doc["dynamic"] = {"forecasts": [5.0, 5.0], "demand_path": [5.0]}
     with pytest.raises(SchemaError, match="dynamic.demand_path"):
         scenario_from_dict(doc)
+
+
+DROP = object()
+
+
+def edited(base, edits):
+    """The bundled scenario ``base`` as a JSON document, with each dotted key of
+    ``edits`` set to its value, or deleted for ``DROP``."""
+    doc = json.loads(bundled_scenario_path(base).read_text())
+    for dotted, value in edits.items():
+        *outer, last = dotted.split(".")
+        node = doc
+        for key in outer:
+            node = node[key]
+        if value is DROP:
+            del node[last]
+        else:
+            node[last] = value
+    return doc
+
+
+FEE_CHOICES = "('none', 'additive', 'multiplicative', 'roi', 'linear_deviation')"
+
+# Each rejection's SchemaError path and message.  A reader's rejection inside
+# the retailer, supplier and fee blocks, and inside the dynamic block's cost
+# fields, names the block first, as the block's dataclass does for its own checks.
+REJECTIONS = [
+    ("unknown-top", edited("toy", {"extra": 1}), "extra", "extra: unknown field"),
+    ("unknown-in-block", edited("toy", {"retailer.demandd": [1]}),
+     "retailer.demandd", "retailer.demandd: unknown field"),
+    ("unknown-in-dynamic", edited("toy_dynamic", {"dynamic.bogus": 1}),
+     "dynamic.bogus", "dynamic.bogus: unknown field"),
+    ("document-not-object", [], "", "expected an object, got list"),
+    ("block-not-object", edited("toy", {"retailer": [1]}),
+     "retailer", "retailer: expected an object, got list"),
+    ("fee-not-object", edited("toy", {"fee": 5}), "fee", "fee: expected an object, got int"),
+    ("consensus-not-object", edited("toy", {"consensus": None}),
+     "consensus", "consensus: expected an object, got NoneType"),
+    ("missing-retailer", edited("toy", {"retailer": DROP}),
+     "retailer", "retailer: required block is missing"),
+    ("missing-supplier", edited("toy", {"supplier": DROP}),
+     "supplier", "supplier: required block is missing"),
+    ("name-not-string", edited("toy", {"name": 5}), "name", "name: expected a string"),
+    ("missing-field", edited("toy", {"retailer.demand": DROP}),
+     "retailer", "retailer: retailer.demand: required field is missing"),
+    ("missing-forecasts", edited("toy_dynamic", {"dynamic.forecasts": DROP}),
+     "dynamic.forecasts", "dynamic.forecasts: required field is missing"),
+    ("bad-number", edited("toy", {"retailer.lost_sales_penalty": "x"}),
+     "retailer", "retailer: retailer.lost_sales_penalty: expected a number"),
+    ("bool-number", edited("toy", {"fee.alpha": True}),
+     "fee", "fee: fee.alpha: expected a number"),
+    ("bad-dynamic-cost", edited("toy_dynamic", {"dynamic.holding_cost": "x"}),
+     "dynamic", "dynamic: dynamic.holding_cost: expected a number"),
+    ("bad-initial-inventory", edited("toy_dynamic", {"dynamic.initial_inventory": [0]}),
+     "dynamic.initial_inventory", "dynamic.initial_inventory: expected a number"),
+    ("bad-consensus-number", edited("toy", {"consensus.eps_abs": "1e-6"}),
+     "consensus.eps_abs", "consensus.eps_abs: expected a number"),
+    ("empty-vector", edited("toy", {"retailer.demand": []}),
+     "retailer", "retailer: retailer.demand: expected a nonempty list of numbers"),
+    ("bool-in-vector", edited("toy", {"supplier.capacities": [100, True]}),
+     "supplier", "supplier: supplier.capacities: expected a nonempty list of numbers"),
+    ("bad-forecasts", edited("toy_dynamic", {"dynamic.forecasts": "x"}),
+     "dynamic.forecasts", "dynamic.forecasts: expected a nonempty list of numbers"),
+    ("bad-demand-path", edited("toy_dynamic", {"dynamic.demand_path": [1, "a"]}),
+     "dynamic.demand_path", "dynamic.demand_path: expected a nonempty list of numbers"),
+    ("empty-matrix", edited("toy", {"retailer.arc_costs": []}),
+     "retailer", "retailer: retailer.arc_costs: expected a nonempty matrix"),
+    ("null-matrix", edited("toy", {"supplier.arc_costs": None}),
+     "supplier", "supplier: supplier.arc_costs: expected a nonempty matrix"),
+    ("row-not-list", edited("toy", {"supplier.arc_costs": [[10, 5], 2]}),
+     "supplier", "supplier: supplier.arc_costs: expected a nonempty matrix"),
+    ("ragged-matrix", edited("toy", {"retailer.arc_costs": [[1, 5], [2]]}),
+     "retailer", "retailer: retailer.arc_costs: rows must be equal-length lists of numbers"),
+    ("bool-in-matrix", edited("toy", {"supplier.arc_costs": [[10, 5], [1, False]]}),
+     "supplier", "supplier: supplier.arc_costs: rows must be equal-length lists of numbers"),
+    ("bad-variant", edited("toy", {"fee.variant": "flat"}),
+     "fee.variant", f"fee.variant: expected one of {FEE_CHOICES}"),
+    ("bad-commitment", edited("toy_dynamic", {"dynamic.commitment": "partial"}),
+     "dynamic.commitment", "dynamic.commitment: expected one of ('none', 'full-horizon')"),
+    ("bad-mode", edited("toy", {"mode": "fast"}),
+     "mode", "mode: expected one of ('centralized', 'cpp', 'protocol')"),
+    ("float-horizon", edited("toy_dynamic", {"dynamic.horizon": 6.0}),
+     "dynamic.horizon", "dynamic.horizon: expected an integer"),
+    ("bool-horizon", edited("toy_dynamic", {"dynamic.horizon": True}),
+     "dynamic.horizon", "dynamic.horizon: expected an integer"),
+    ("zero-max-iters", edited("toy", {"consensus.max_iters": 0}),
+     "consensus.max_iters", "consensus.max_iters: expected a positive integer"),
+    ("float-max-iters", edited("toy", {"consensus.max_iters": 2.5}),
+     "consensus.max_iters", "consensus.max_iters: expected a positive integer"),
+    ("int-adapt-rho", edited("toy", {"consensus.adapt_rho": 1}),
+     "consensus.adapt_rho", "consensus.adapt_rho: expected a boolean"),
+    ("zero-rho", edited("toy", {"consensus.rho": 0}),
+     "consensus.rho", "consensus.rho: must be positive"),
+    ("negative-rho", edited("toy", {"consensus.rho": -1.0}),
+     "consensus.rho", "consensus.rho: must be positive"),
+    ("menu-plan-length", edited("toy", {"menu_plans": [[30, 70], [1, 2, 3]]}),
+     "menu_plans[1]", "menu_plans[1]: expected 2 numbers"),
+    ("menu-plan-entry", edited("toy", {"menu_plans": [[30, "70"]]}),
+     "menu_plans[0]", "menu_plans[0]: expected 2 numbers"),
+    ("menu-empty", edited("toy", {"menu_plans": []}),
+     "menu_plans", "menu_plans: expected a nonempty list of plans"),
+    ("short-demand-path", edited("toy_dynamic", {"dynamic.demand_path": [1]}),
+     "dynamic.demand_path", "dynamic.demand_path: must cover every forecast week"),
+    ("inbound-mismatch", edited("toy", {"supplier.arc_costs": [[1], [2]],
+                                        "supplier.gross_profit_per_unit": [20]}),
+     "supplier.arc_costs", "supplier.arc_costs: supplier serves 1 inbound nodes, retailer has 2"),
+    ("supplier-dimensions", edited("toy", {"supplier.arc_costs": [[1], [2]]}), "supplier",
+     "supplier: arc_costs (2, 1), capacities (2,), gross_profit (2,) disagree"),
+    ("retailer-penalty", edited("toy", {"retailer.lost_sales_penalty": 5}),
+     "retailer", "retailer: lost_sales_penalty must exceed every arc cost"),
+    ("fee-negative", edited("toy", {"fee.alpha": -1}),
+     "fee", "fee: fee parameter alpha must be nonnegative"),
+    ("fee-roi-rate", edited("toy", {"fee.variant": "roi", "fee.roi_rate": 1.0}),
+     "fee", "fee: roi_rate must be below 1"),
+    ("horizon-below-one", edited("toy_dynamic", {"dynamic.horizon": 0}),
+     "dynamic", "dynamic: planning horizon must be at least one week"),
+    ("target-length", edited("toy_dynamic", {"dynamic.target_inventory": [1, 2]}),
+     "dynamic", "dynamic: target_inventory must match the forecasts"),
+]
+
+
+@pytest.mark.parametrize("doc, path, message", [case[1:] for case in REJECTIONS],
+                         ids=[case[0] for case in REJECTIONS])
+def test_schema_rejections_keep_their_path_and_message(doc, path, message):
+    with pytest.raises(SchemaError) as caught:
+        scenario_from_dict(doc)
+    assert (caught.value.path, str(caught.value)) == (path, message)
+
+
+def test_a_missing_matrix_is_a_missing_field():
+    with pytest.raises(SchemaError) as caught:
+        scenario_from_dict(edited("toy", {"supplier.arc_costs": DROP}))
+    assert (caught.value.path, str(caught.value)) == (
+        "supplier", "supplier: supplier.arc_costs: required field is missing")
+
+
+BIG = 10 ** 400  # a JSON integer no float holds
+
+# (bundled scenario, dotted key, value, path named in the error); each was
+# accepted, or crashed the CLI, before numbers had to be finite
+NON_FINITE = [
+    ("toy", "consensus.rho", math.inf, "consensus.rho"),
+    ("toy", "consensus.rho", math.nan, "consensus.rho"),
+    ("toy", "retailer.lost_sales_penalty", math.nan, "retailer.lost_sales_penalty"),
+    ("toy_dynamic", "dynamic.holding_cost", math.nan, "dynamic.holding_cost"),
+    ("toy_dynamic", "dynamic.retailer_margin", math.nan, "dynamic.retailer_margin"),
+    ("toy_dynamic", "dynamic.initial_inventory", math.nan, "dynamic.initial_inventory"),
+    ("toy_dynamic", "dynamic.smoothing_cost", math.inf, "dynamic.smoothing_cost"),
+    ("toy", "fee.alpha", BIG, "fee.alpha"),
+    ("toy", "retailer.demand", [BIG, 60], "retailer.demand"),
+    ("toy", "menu_plans", [[30, 70], [BIG, 80]], "menu_plans[1]"),
+    ("toy", "fee.alpha", math.nan, "fee.alpha"),
+    ("toy", "fee.alpha", math.inf, "fee.alpha"),
+    ("toy", "retailer.arc_costs", [[1, 5], [math.nan, 3]], "retailer.arc_costs"),
+    ("toy", "supplier.capacities", [-math.inf, 10], "supplier.capacities"),
+]
+
+
+@pytest.mark.parametrize("base, key, value, path", NON_FINITE,
+                         ids=[f"{key}={json.dumps(value).replace(str(BIG), 'BIG')}"
+                              for _, key, value, _ in NON_FINITE])
+def test_non_finite_numbers_are_schema_errors(base, key, value, path, tmp_path, capsys):
+    doc = edited(base, {key: value})
+    with pytest.raises(SchemaError, match=rf"{re.escape(path)}: non-finite number"):
+        scenario_from_dict(doc)
+    # JSON text carries NaN, Infinity and the long integer as literals
+    scn = tmp_path / "bad.scn"
+    scn.write_text(json.dumps(doc))
+    assert main(["--scenario", str(scn), "--mode", "cpp", "--analyses", "all"]) == 2
+    assert f"{path}: non-finite number" in capsys.readouterr().err
 
 
 def test_jit_only_report_omits_mechanism_sections(toy):

@@ -1,7 +1,7 @@
 """Exact solver for the proximal cutting-plane master problem.
 
     maximize   min_k ( offsets[k] + grads[k] @ x )  -  (rho/2) ||x - center||^2
-    subject to x >= 0,  sum(x) <= total_cap (optional)
+    subject to x >= 0,  sum(x) <= total_cap  (math.inf: uncapped)
 
 Solved through its dual by an active-set method on the multipliers (Kiwiel,
 "A method for solving certain quadratic programming problems arising in
@@ -32,9 +32,7 @@ the same loop, so both end on the same optimum up to rounding.
 
 import numpy as np
 
-# A plan's total may pass its cap by this multiple of (1 + cap): the slack
-# supplier_utility allows, which the master's answers keep to.
-_CAP_TOL = 1e-9
+from .transport import exceeds
 
 # An entry of the dual gradient counts as negative only beyond this multiple
 # of the magnitude of the terms it sums: about 100 times their rounding error,
@@ -42,11 +40,11 @@ _CAP_TOL = 1e-9
 _ROUND_TOL = 1e-14
 
 
-def project_capped(x, total_cap=None):
+def project_capped(x, total_cap):
     """Euclidean projection onto {y >= 0} intersected with {sum(y) <= cap}."""
     x = np.asarray(x, dtype=float)
     y = np.maximum(x, 0.0)
-    if total_cap is None or y.sum() <= total_cap:
+    if y.sum() <= total_cap:
         return y
     if total_cap <= 0.0:
         return np.zeros_like(x)
@@ -139,13 +137,12 @@ class CutSet:
         self._norms = _norms(A)
         self._abs_B = np.abs(A[:n])
 
-    def _last_free(self, m, rho):
-        """The last call's free set as (columns among the first ``m``, their
-        dual columns, their KKT matrix at ``rho``), or None if one of them
-        is gone."""
+    def _last_free(self, rho):
+        """The last call's free set as (its columns, their dual columns, their
+        KKT matrix at ``rho``), or None if one of them is gone."""
         K, first = len(self), self._next_id - len(self)
         free = [key - first if key >= 0 else K - 1 - key for key in self._free]
-        if not free or min(free) < 0 or max(free) >= m:
+        if not free or min(free) < 0:
             return None
         if self._free_cols is None:
             self._free_cols = self._A[:, free]
@@ -170,7 +167,7 @@ def _norms(A):
     return np.sqrt(np.einsum("ij,ij->j", A, A))
 
 
-def maximize_cut_model(cuts, center, rho, total_cap=None):
+def maximize_cut_model(cuts, center, rho, total_cap):
     """Return (x, value) for the prox-regularized model of the :class:`CutSet`
     ``cuts`` above; ``value`` is the dual objective at the final multipliers,
     an upper bound on the model's maximum that meets the model value at ``x``
@@ -183,16 +180,14 @@ def maximize_cut_model(cuts, center, rho, total_cap=None):
     center = np.asarray(center, dtype=float)
     n, K = center.size, len(cuts)
     # Dual columns [B; simplex row] for the K cuts, the n bounds and the cap;
-    # q is the linear cost of each column.
+    # q is the linear cost of each column.  An infinite cap prices its column
+    # at infinity, so the column never enters.
     A, q, norms, abs_B = cuts._A, cuts._q, cuts._norms, cuts._abs_B
-    if total_cap is None:
-        A, q, norms, abs_B = A[:, :-1], q[:-1], norms[:-1], abs_B[:, :-1]
-    else:
-        q[-1] = total_cap
+    q[-1] = total_cap
     m = q.size
     B = A[:n]
 
-    start = cuts._last_free(m, rho)
+    start = cuts._last_free(rho)
     step = None
     if start is not None and min(start[0]) < K:
         free, cols, kkt = start
@@ -259,7 +254,7 @@ def maximize_cut_model(cuts, center, rho, total_cap=None):
     bounds = [i - K for i in free if K <= i < K + n]
     if bounds:
         x[bounds] = 0.0
-    if total_cap is not None and np.add.reduce(x) > total_cap + _CAP_TOL * (1.0 + total_cap):
+    if exceeds(np.add.reduce(x), total_cap):
         # w / rho rounds at the scale of w over rho, which a small rho makes
         # larger than the slack a plan has on its cap; within that slack x
         # keeps its bits

@@ -26,6 +26,8 @@ from .transport import retailer_utility, supplier_utility
 _BR_GAP_TOL = 1e-12    # relative gap at which a best response is certified
 _BR_MAX_EVALS = 120
 _ADAPT_EVERY = 25      # rho rebalance cadence; every iteration oscillates
+_ADAPT_RATIO = 10.0    # residual imbalance that triggers a rebalance
+_ADAPT_FACTOR = 2.0    # rho multiplier of one rebalance
 _ADAPT_SPAN = 256.0    # rho stays within rho0 / span .. rho0 * span
 
 
@@ -34,12 +36,13 @@ class PlanAgent:
     optionally capped in total volume.
 
     Subclasses implement :meth:`evaluate` returning ``(value, supergradient)``
-    at a feasible plan.  ``total_cap`` bounds ``sum(plan)`` (None = unbounded);
-    it doubles as the feasible set used by projection and best responses.
+    at a feasible plan.  ``total_cap`` bounds ``sum(plan)`` (``math.inf`` =
+    unbounded); it doubles as the feasible set used by projection and best
+    responses.
     """
 
     dim = 0
-    total_cap = None
+    total_cap = inf
 
     def evaluate(self, plan):
         raise NotImplementedError
@@ -189,6 +192,13 @@ class ConsensusConfig:
     initial_plan: np.ndarray | None = None
     initial_prices: np.ndarray | None = None
 
+    def __post_init__(self):
+        if not -inf < self.rho < inf:  # NaN too
+            raise ParameterError("penalty rho must be positive and finite")
+        for name in ("eps_abs", "eps_rel"):
+            if not -inf < getattr(self, name) < inf:
+                raise ParameterError(f"{name} must be finite")
+
 
 @dataclass(frozen=True)
 class ConsensusState:
@@ -307,11 +317,11 @@ def run_consensus(agents, config=None, trace=None):
     )
 
 
-def _rebalance_rho(state, lo, hi, ratio=10.0, factor=2.0):
-    if state.r_primal > ratio * state.r_dual:
-        return replace(state, rho=min(state.rho * factor, hi))
-    if state.r_dual > ratio * state.r_primal:
-        return replace(state, rho=max(state.rho / factor, lo))
+def _rebalance_rho(state, lo, hi):
+    if state.r_primal > _ADAPT_RATIO * state.r_dual:
+        return replace(state, rho=min(state.rho * _ADAPT_FACTOR, hi))
+    if state.r_dual > _ADAPT_RATIO * state.r_primal:
+        return replace(state, rho=max(state.rho / _ADAPT_FACTOR, lo))
     return state
 
 

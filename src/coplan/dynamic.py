@@ -20,6 +20,7 @@ so each week's joint plan comes out of the same coordination loop used for
 the static case.
 """
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -55,9 +56,15 @@ class InventoryModel:
         f = np.asarray(self.forecasts, dtype=float)
         if f.ndim != 1 or f.size == 0:
             raise DimensionError("forecasts must be a nonempty vector")
+        for name in ("holding_cost", "lost_sales_cost", "retailer_margin", "supplier_margin",
+                     "smoothing_cost"):
+            if not -math.inf < getattr(self, name) < math.inf:  # NaN too
+                raise ParameterError(f"{name} must be finite")
+        if not np.isfinite(f).all():
+            raise ParameterError("forecasts must be finite")
         if np.any(f < 0):
             raise ParameterError("forecasts must be nonnegative")
-        if self.horizon < 1:
+        if not self.horizon >= 1:  # NaN too
             raise ParameterError("planning horizon must be at least one week")
         for name in ("holding_cost", "lost_sales_cost", "smoothing_cost"):
             if getattr(self, name) < 0:
@@ -66,6 +73,8 @@ class InventoryModel:
         tip = f.copy() if tip is None else np.asarray(tip, dtype=float)
         if tip.shape != f.shape:
             raise DimensionError("target_inventory must match the forecasts")
+        if not np.isfinite(tip).all():
+            raise ParameterError("target_inventory must be finite")
         if np.any(tip < 0):
             raise ParameterError("target_inventory must be nonnegative")
         object.__setattr__(self, "forecasts", f)
@@ -504,6 +513,10 @@ def simulate(model, demand_path, mode="none", on_hand=0.0):
     demand_path = np.asarray(demand_path, dtype=float)
     if demand_path.shape != (model.n_weeks,):
         raise DimensionError("demand path must cover the episode")
+    if not (np.isfinite(demand_path).all() and (demand_path >= 0).all()):
+        raise ParameterError("realized demand must be finite and nonnegative")
+    if not 0.0 <= on_hand < math.inf:
+        raise ParameterError("starting inventory must be finite and nonnegative")
     state = model.initial_state(mode=mode, on_hand=on_hand)
     records = []
     warm_plan = warm_prices = None

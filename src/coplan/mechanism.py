@@ -17,6 +17,7 @@ can possibly sell has no retail value, and leaving the total uncapped would
 let gross supplier margin on unsellable units masquerade as joint surplus.
 """
 
+import math
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
@@ -25,7 +26,7 @@ import numpy as np
 from ._qp import project_capped
 from .consensus import ConsensusConfig, RetailerAgent, SupplierAgent, run_consensus
 from .errors import InfeasibleError, ParameterError
-from .transport import as_plan, solve_transport
+from .transport import as_plan, exceeds, solve_transport
 
 _TOL = 1e-9
 
@@ -47,6 +48,8 @@ class FeePolicy:
         if self.variant not in FEE_VARIANTS:
             raise ParameterError(f"unknown fee variant {self.variant!r}")
         for name in ("alpha", "beta", "roi_rate", "over_rate", "under_rate"):
+            if not -math.inf < getattr(self, name) < math.inf:  # NaN too
+                raise ParameterError(f"fee parameter {name} must be finite")
             if getattr(self, name) < 0:
                 raise ParameterError(f"fee parameter {name} must be nonnegative")
         if self.variant == "roi" and self.roi_rate >= 1.0:
@@ -153,7 +156,7 @@ def standalone_plans(retailer, supplier, retailer_at=None):
     """
     order = jit_plan(retailer, retailer_at)
     confirmed = order.copy()
-    if order.sum() > supplier.total_capacity + _TOL:
+    if exceeds(order.sum(), supplier.total_capacity):
         confirmed = _best_confirmation(supplier, order)
     return StatusQuo(retailer_plan=order, supplier_plan=confirmed)
 
@@ -306,21 +309,36 @@ class SettlementReport:
     retailer_surplus: float
     supplier_accepts: bool
 
-    def verify(self, tol=1e-9):
-        """Re-check the settlement identities, each to ``tol`` relative to the
-        summed magnitudes of the utilities and transfers they are built from
-        (at least 1): rounding grows with their size, not with their units.
-        Raises AssertionError on drift."""
-        tol *= max(1.0, sum(map(abs, (
-            self.retailer_value_plan, self.supplier_value_plan, self.retailer_value_standalone,
-            self.supplier_value_standalone, self.transfer_supplier, self.transfer_retailer,
-            self.fee_term))))
-        lhs = self.retailer_value_plan + self.transfer_supplier - self.fee_term
-        assert abs(lhs - self.retailer_value_standalone) <= tol, "transfer identity broken"
-        assert abs((self.supplier_surplus + self.retailer_surplus) - self.gain) <= tol, \
-            "surplus split does not add to the coordination gain"
-        assert abs(self.budget_sum - (self.transfer_retailer + self.transfer_supplier)) <= tol
+    def verify(self):
+        """Re-check the settlement identities by :func:`check_identity`,
+        against the utilities and transfers they are built from.  Raises
+        AssertionError on drift."""
+        terms = (self.retailer_value_plan, self.supplier_value_plan,
+                 self.retailer_value_standalone, self.supplier_value_standalone,
+                 self.transfer_supplier, self.transfer_retailer, self.fee_term)
+        check_identity(self.retailer_value_plan + self.transfer_supplier - self.fee_term,
+                       self.retailer_value_standalone, terms, "transfer identity broken")
+        check_identity(self.supplier_surplus + self.retailer_surplus, self.gain, terms,
+                       "surplus split does not add to the coordination gain")
+        check_identity(self.budget_sum, self.transfer_retailer + self.transfer_supplier, terms,
+                       "budget does not add the two transfers")
         return True
+
+
+def check_identity(lhs, rhs, terms, message):
+    """The one self-check: raise AssertionError(``message``) unless ``lhs``
+    and ``rhs`` agree to 1e-9 of the summed magnitudes of the ``terms`` they
+    are built from (at least 1), since rounding grows with their size, not
+    with their units.  It raises explicitly, so ``python -O`` keeps it."""
+    if not abs(lhs - rhs) <= 1e-9 * max(1.0, sum(map(abs, terms))):
+        raise AssertionError(message)
+
+
+def participates(value, fee, reservation):
+    """The one participation test: whether an agent takes a deal, its value
+    less the fee falling short of its reservation value by at most 1e-9.  A
+    value of -inf (a plan it cannot fill) never does."""
+    return value - fee - reservation >= -_TOL
 
 
 def vcg_transfers(retailer, supplier, status_quo, x_star, fee=None):
@@ -348,7 +366,8 @@ def vcg_transfers(retailer, supplier, status_quo, x_star, fee=None):
         retailer_value_standalone=u_a_sq, supplier_value_standalone=u_s_sq,
         transfer_supplier=t_supplier, transfer_retailer=t_retailer, fee_term=fee_term,
         budget_sum=t_retailer + t_supplier, gain=gain, supplier_surplus=supplier_surplus,
-        retailer_surplus=retailer_surplus, supplier_accepts=supplier_surplus >= -_TOL)
+        retailer_surplus=retailer_surplus,
+        supplier_accepts=participates(ev_s_star.value, t_supplier, u_s_sq))
 
 
 @dataclass(frozen=True)
@@ -357,14 +376,14 @@ class BudgetDiagnosis:
     regime: str  # "deficit" | "surplus" | "balanced"
 
 
-def budget_balance_check(report, tol=1e-9):
+def budget_balance_check(report):
     """Classify the VCG budget.  A deficit (the principal pays out on net)
     appears exactly when joint utility at the settled plan beats the summed
     standalone values, i.e. when the agents are complements."""
     if report.fee.variant != "none":
         raise ParameterError("budget diagnosis applies to the fee-free mechanism")
     total = report.budget_sum
-    regime = "deficit" if total < -tol else "surplus" if total > tol else "balanced"
+    regime = "deficit" if total < -_TOL else "surplus" if total > _TOL else "balanced"
     return BudgetDiagnosis(total=total, regime=regime)
 
 
@@ -425,7 +444,7 @@ def supplier_choose(supplier, menu, reservation=-np.inf):
     best = int(np.argmax(nets))
     options = dict(option_values=tuple(values), option_nets=tuple(nets),
                    option_alpha_nets=tuple(alpha_nets))
-    if not np.isfinite(nets[best]) or nets[best] < reservation - _TOL:
+    if not participates(values[best], menu.fees[best], reservation):
         return MenuChoice(accepted=False, index=None, plan=None, fee=None, **options)
     return MenuChoice(accepted=True, index=best, plan=menu.plans[best],
                       fee=menu.fees[best], **options)

@@ -33,9 +33,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .consensus import LocalEndpoint
-from .errors import (AgentTimeoutError, CoplanError, InfeasibleError, ParameterError,
-                     ParseError, ProtocolError)
-from .mechanism import _TOL
+from .errors import AgentTimeoutError, InfeasibleError, ParameterError, ParseError, ProtocolError
+from .mechanism import participates
 
 DEFAULT_TIMEOUT = 30.0
 LISTEN_ENV_VAR = "COPLAN_LISTEN"
@@ -80,10 +79,7 @@ def encode(msg):
         if name in _VECTOR_FIELDS:
             value = np.asarray(value, dtype=float).tolist()
         doc[name] = value
-    line = json.dumps(doc, separators=(",", ":"), allow_nan=False)
-    if "\n" in line:  # pragma: no cover - json never emits raw newlines
-        raise ProtocolError("encoded message contains a newline")
-    return line.encode("ascii") + b"\n"
+    return json.dumps(doc, separators=(",", ":"), allow_nan=False).encode("ascii") + b"\n"
 
 
 def _reject_constant(token):
@@ -108,10 +104,8 @@ def _finite(number, name):
 
 
 def decode(line):
-    """Parse one wire line into a :class:`Message`; malformed input raises
-    :class:`ParseError` with a reason and byte offset."""
-    if isinstance(line, str):
-        line = line.encode("utf-8", errors="surrogateescape")
+    """Parse one wire line (bytes) into a :class:`Message`; malformed input
+    raises :class:`ParseError` with a reason and byte offset."""
     text = line.rstrip(b"\r\n")
     if not text:
         raise ParseError("empty line")
@@ -225,16 +219,15 @@ class AgentServer:
     penalty ``rho`` by a per-session in-process endpoint, which keeps the
     agent's cuts for the session as a :func:`~coplan.consensus.run_consensus`
     run keeps them, so both answer a query sequence bit for bit alike.  A
-    plan/fee offer is accepted by the rule of
-    ``SettlementReport.supplier_accepts``: the agent's value less the fee may
-    fall short of its reservation utility by at most the settlement's
-    tolerance (a plan the agent cannot fill is declined).  Sessions end on
-    ``bye``, disconnect or ``DEFAULT_TIMEOUT`` seconds of silence;
-    malformed input or a query that fails (say, at ``rho <= 0``) gets an
-    ``error`` reply and the session closes, as does a connection past
-    ``MAX_SESSIONS`` open sessions.  No private data of the agent ever leaves
-    this process.  ``COPLAN_LISTEN`` fills in the ``host`` or ``port`` the
-    caller leaves out.
+    plan/fee offer is accepted by :func:`~coplan.mechanism.participates`,
+    the settlement's own rule (a plan the agent cannot fill is declined).
+    Sessions end on ``bye``, disconnect or ``DEFAULT_TIMEOUT`` seconds of
+    silence; malformed input or a query or offer on which the agent raises
+    (say, at ``rho <= 0``) gets an ``error`` reply and the session closes, as
+    does a connection past ``MAX_SESSIONS`` open sessions, so no session
+    thread dies of its agent.  No private data of the agent ever leaves this
+    process.  ``COPLAN_LISTEN`` fills in the ``host`` or ``port`` the caller
+    leaves out.
     """
 
     def __init__(self, agent, reservation=-np.inf, host=None, port=None):
@@ -321,7 +314,7 @@ class AgentServer:
                 q = msg.payload
                 try:
                     plan = endpoint.respond(q["prices"], q["z"], q["rho"], q["iteration"])
-                except CoplanError as exc:  # e.g. rho <= 0, or no convergence
+                except Exception as exc:  # e.g. rho <= 0, or no convergence
                     return _refuse(channel, session, exc)
                 channel.send(Message("response", session,
                                      payload={"iteration": q["iteration"], "dim": dim,
@@ -329,11 +322,10 @@ class AgentServer:
             elif msg.kind == "offer":
                 try:
                     value = float(self.agent.evaluate(msg.payload["plan"])[0])
-                    # the settlement's own rule (SettlementReport.supplier_accepts)
-                    taking = value - msg.payload["fee"] - self.reservation >= -_TOL
+                    taking = participates(value, msg.payload["fee"], self.reservation)
                 except InfeasibleError:
                     taking = False
-                except ParameterError as exc:  # e.g. a negative entry
+                except Exception as exc:  # e.g. a negative entry
                     return _refuse(channel, session, exc)
                 channel.send(Message("accept" if taking else "decline", session))
             else:
@@ -380,12 +372,11 @@ class RemoteAgent:
 
     def respond(self, prices, z, rho, iteration):
         """Best response to one query at penalty ``rho``.  A silent agent raises
-        :class:`AgentTimeoutError`; a response echoing the wrong iteration
-        raises :class:`ProtocolError`."""
-        self._channel.send(Message("query", self.session, payload={
+        :class:`AgentTimeoutError`; a response echoing the wrong iteration, or
+        a connection closed or reset, raises :class:`ProtocolError`."""
+        reply = self._exchange(Message("query", self.session, payload={
             "iteration": int(iteration), "dim": self.dim, "rho": float(rho),
             "prices": prices, "z": z}))
-        reply = self._read()
         if reply.kind != "response":
             raise ProtocolError(f"expected response, got {reply.kind}")
         echoed = reply.payload["iteration"]
@@ -397,9 +388,8 @@ class RemoteAgent:
         return reply.payload["plan"]
 
     def offer(self, plan, fee):
-        self._channel.send(Message("offer", self.session,
-                                   payload={"dim": self.dim, "plan": plan, "fee": float(fee)}))
-        reply = self._read()
+        reply = self._exchange(Message("offer", self.session,
+                                       payload={"dim": self.dim, "plan": plan, "fee": float(fee)}))
         if reply.kind not in ("accept", "decline"):
             raise ProtocolError(f"expected accept/decline, got {reply.kind}")
         return reply.kind == "accept"
@@ -409,11 +399,16 @@ class RemoteAgent:
             self._channel.send(Message("bye", self.session))
         self._channel.close()
 
-    def _read(self):
+    def _exchange(self, msg):
+        """Send ``msg`` and read the reply; an ``error`` reply, or a connection
+        closed or reset on either leg, raises :class:`ProtocolError`."""
         try:
+            self._channel.send(msg)
             reply = self._channel.recv(timeout=self.timeout)
         except TimeoutError as exc:
             raise AgentTimeoutError(self.agent_id, self.timeout) from exc
+        except OSError as exc:  # ConnectionError included: the peer is gone
+            raise ProtocolError(f"agent {self.agent_id}: connection lost ({exc})") from exc
         if reply.kind == "error":
             raise ProtocolError(f"agent {self.agent_id}: {reply.payload['reason']}")
         return reply

@@ -27,6 +27,7 @@ from .errors import ParameterError
 from .mechanism import (
     budget_balance_check,
     build_menu,
+    check_identity,
     consensus_plan,
     default_menu_plans,
     efficient_plan,
@@ -250,9 +251,8 @@ def _run_menu(scenario, retailer_at, supplier_at, status_quo, plan):
     u_sq = retailer_at(status_quo.retailer_plan).value
     for menu_plan, fee in zip(menu.plans, menu.fees):
         value = retailer_at(menu_plan).value
-        # to 1e-9 of the summed magnitudes: rounding grows with them
-        tol = 1e-9 * max(1.0, abs(u_sq) + abs(value) + abs(alpha))
-        assert abs(fee - (u_sq - value + alpha)) <= tol, "menu pricing identity broken"
+        check_identity(fee, u_sq - value + alpha, (u_sq, value, alpha),
+                       "menu pricing identity broken")
     payload = {
         "alpha": alpha,
         "options": [

@@ -37,6 +37,10 @@ class DynamicSettings:
                 else np.asarray(self.demand_path, dtype=float))
         if path.shape != self.model.forecasts.shape:
             raise SchemaError("dynamic.demand_path", "must cover every forecast week")
+        if (path < 0).any():
+            raise SchemaError("dynamic.demand_path", "realized demand must be nonnegative")
+        if self.initial_inventory < 0:
+            raise SchemaError("dynamic.initial_inventory", "must be nonnegative")
         object.__setattr__(self, "demand_path", path)
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, InfeasibleError, ParameterError
+from .errors import DimensionError, InfeasibleError, NonConvergenceError, ParameterError
 
 # Pivot tolerance: toy data is integral, random suites use costs O(10) and
 # quantities O(100), so absolute tolerances are safe at this scale.
@@ -53,6 +53,12 @@ def as_plan(x, dim=None):
     if (v < -_TOL).any():
         raise ParameterError("plan entries must be nonnegative")
     return np.maximum(v, 0.0)
+
+
+def exceeds(total, capacity):
+    """The one capacity test: whether ``total`` passes ``capacity`` by more
+    than rounding, a slack of 1e-9 (1 + capacity)."""
+    return total > capacity + 1e-9 * (1.0 + capacity)
 
 
 @dataclass(frozen=True)
@@ -180,7 +186,7 @@ def _optimize(costs, flow, tree):
         else:
             parent[m + ej] = ei
             _hang(costs, tree, m + ej, parent, depth, pot)
-    raise ArithmeticError("transportation simplex exceeded its pivot budget")
+    raise NonConvergenceError("transportation simplex exceeded its pivot budget")
 
 
 def solve_transport(costs, row_bounds, col_requirements, slack_penalty=None):
@@ -209,7 +215,7 @@ def solve_transport(costs, row_bounds, col_requirements, slack_penalty=None):
     total_bound = float(rb.sum())
     total_req = float(cq.sum())
     use_slack = slack_penalty is not None
-    if not use_slack and total_bound < total_req - _TOL * (1.0 + total_req):
+    if not use_slack and exceeds(total_req, total_bound):
         raise InfeasibleError(
             f"requirements total {total_req} exceed capacity {total_bound} and no slack penalty is set"
         )
@@ -353,7 +359,6 @@ class UtilityEvaluation:
     value: float
     supergradient: np.ndarray
     transport: TransportSolution
-    kind: str  # "retailer" | "supplier"
 
 
 def retailer_utility(spec, plan):
@@ -371,7 +376,7 @@ def retailer_utility(spec, plan):
     # One more unit of supply at node i is worth the (nonnegative) shadow
     # price of its capacity constraint.
     grad = -sol.row_duals
-    return UtilityEvaluation(value=value, supergradient=grad, transport=sol, kind="retailer")
+    return UtilityEvaluation(value=value, supergradient=grad, transport=sol)
 
 
 def supplier_utility(spec, plan):
@@ -379,11 +384,11 @@ def supplier_utility(spec, plan):
     transport cost.  Raises :class:`InfeasibleError` when the plan exceeds
     total source capacity."""
     x = as_plan(plan, spec.n_inbound)
-    if x.sum() > spec.total_capacity + _TOL * (1.0 + spec.total_capacity):
+    if exceeds(x.sum(), spec.total_capacity):
         raise InfeasibleError(
             f"plan total {x.sum():.6f} exceeds supplier capacity {spec.total_capacity:.6f}"
         )
     sol = solve_transport(spec.arc_costs, row_bounds=spec.capacities, col_requirements=x)
     value = float(spec.gross_profit @ x) - sol.objective
     grad = spec.gross_profit - sol.col_duals
-    return UtilityEvaluation(value=value, supergradient=grad, transport=sol, kind="supplier")
+    return UtilityEvaluation(value=value, supergradient=grad, transport=sol)

@@ -320,7 +320,7 @@ def test_kept_cuts_answer_as_a_cold_best_response_within_the_certificate():
         n, K = int(rng.integers(1, 4)), int(rng.integers(2, 8))
         agent = MinOfLines(rng.integers(-500, 500, size=K).astype(float),
                            rng.integers(-20, 21, size=(K, n)).astype(float))
-        agent.total_cap = None if rng.random() < 0.5 else float(rng.integers(10, 200))
+        agent.total_cap = math.inf if rng.random() < 0.5 else float(rng.integers(10, 200))
         ep, cuts = LocalEndpoint(agent), CutSet()
         for it in range(1, 16):
             prices = rng.uniform(-15, 15, size=n)
@@ -405,3 +405,35 @@ def test_a_non_finite_rho_is_a_parameter_error(toy_retailer, toy_supplier, rho):
         run_consensus(agents, ConsensusConfig(rho=rho))
     with pytest.raises(ParameterError, match="penalty rho must be positive"):
         best_response(agents[0], np.zeros(2), np.array([10.0, 90.0]), rho)
+
+
+def test_a_session_past_48_cuts_keeps_its_last_32():
+    # tangent planes of a paraboloid: a session of far-apart queries touches
+    # more pieces than the 48 cuts a best response holds
+    rng = np.random.default_rng(0)
+    points = rng.uniform(0, 20, size=(400, 2))
+    agent = MinOfLines(0.5 * (points * points).sum(axis=1), -points)
+    cuts, pruned = CutSet(), []
+    keep_last = cuts.keep_last
+
+    def spy(n):
+        pruned.append((len(cuts), n))
+        keep_last(n)
+    cuts.keep_last = spy
+    for _ in range(80):
+        prices, z = rng.uniform(-10, 10, size=2), rng.uniform(0, 20, size=2)
+        warm = best_response(agent, prices, z, 0.1, cuts=cuts)
+        assert len(cuts) <= 48
+        # the pruned model still certifies its answer against a cold one
+        cold = best_response(agent, prices, z, 0.1)
+        ours = prox_objective(agent, warm.plan, prices, z, 0.1)
+        theirs = prox_objective(agent, cold.plan, prices, z, 0.1)
+        assert theirs - ours <= warm.gap + 1e-12 * (1.0 + abs(ours))
+    assert pruned and set(pruned) == {(49, 32)}
+
+
+@pytest.mark.parametrize("field", ["rho", "eps_abs", "eps_rel"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_a_non_finite_consensus_number_is_a_parameter_error(field, value):
+    with pytest.raises(ParameterError, match="finite"):
+        ConsensusConfig(**{field: value})

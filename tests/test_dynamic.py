@@ -534,3 +534,24 @@ def test_a_window_just_past_the_exact_prox_limit_agrees_with_the_exact_prox(monk
     cfg = DEFAULT_DYNAMIC_CONFIG
     tol = cfg.eps_abs + cfg.eps_rel * np.linalg.norm(exact.orders)
     assert np.abs(cutting_plane.orders - exact.orders).max() <= tol
+
+
+@pytest.mark.parametrize("field, value", [
+    ("holding_cost", float("nan")), ("lost_sales_cost", float("inf")),
+    ("retailer_margin", float("nan")), ("supplier_margin", float("-inf")),
+    ("smoothing_cost", float("inf")), ("forecasts", [5.0, float("nan")]),
+    ("target_inventory", [float("inf"), 5.0]),
+])
+def test_a_non_finite_inventory_number_is_a_parameter_error(field, value):
+    fields = {"forecasts": [5.0, 5.0], field: value}
+    with pytest.raises(ParameterError, match=f"{field} must be finite"):
+        InventoryModel(**fields)
+
+
+def test_simulate_rejects_negative_demand_and_stock():
+    # regression: both ran; a demand of -1 sold -1 unit
+    model = InventoryModel(forecasts=[5.0, 5.0], horizon=2)
+    with pytest.raises(ParameterError, match="realized demand"):
+        simulate(model, [-1.0, 5.0])
+    with pytest.raises(ParameterError, match="starting inventory"):
+        simulate(model, [5.0, 5.0], on_hand=-5.0)

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import coplan
 from conftest import RetailerValueOracle, SupplierValueOracle, random_bilateral, solve_joint_lp
 from coplan.errors import ParameterError
 from coplan.mechanism import (
@@ -361,3 +367,31 @@ def test_fee_replan_settles_a_ten_node_instance():
     plan, result = consensus_plan(retailer, supplier, fee=fee, status_quo=status_quo)
     assert result.converged
     assert vcg_transfers(retailer, supplier, status_quo, plan, fee).verify()
+
+
+@pytest.mark.parametrize("field", ["alpha", "beta", "roi_rate", "over_rate", "under_rate"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_a_non_finite_fee_parameter_is_a_parameter_error(field, value):
+    with pytest.raises(ParameterError, match=f"fee parameter {field} must be finite"):
+        FeePolicy(**{field: value})
+
+
+def test_self_checks_survive_python_dash_O():
+    # regression: verify() and the menu identity were assert statements, which
+    # python -O strips, so a broken report verified and exit 3 never came
+    script = (
+        "import numpy as np\n"
+        "from coplan.mechanism import FeePolicy, SettlementReport\n"
+        "report = SettlementReport(plan=np.zeros(1), fee=FeePolicy(), retailer_value_plan=0.0,\n"
+        "    supplier_value_plan=0.0, retailer_value_standalone=0.0,\n"
+        "    supplier_value_standalone=0.0, transfer_supplier=499.0, transfer_retailer=0.0,\n"
+        "    fee_term=0.0, budget_sum=499.0, gain=0.0, supplier_surplus=-499.0,\n"
+        "    retailer_surplus=499.0, supplier_accepts=False)\n"
+        "report.verify()\n"
+    )
+    src = str(Path(coplan.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1"),
+                          timeout=60)
+    assert done.returncode != 0
+    assert "AssertionError: transfer identity broken" in done.stderr

@@ -12,7 +12,7 @@ from coplan.consensus import (
     best_response,
     run_consensus,
 )
-from coplan import protocol
+from coplan import protocol, transport
 from coplan._qp import CutSet
 from coplan.errors import (AgentTimeoutError, NonConvergenceError, ParameterError, ParseError,
                            ProtocolError)
@@ -426,3 +426,40 @@ def test_messages_never_carry_private_fields():
         blob = json.dumps(doc)
         for word in ("capacit", "cost", "demand", "profit", "margin"):
             assert word not in blob
+
+
+def test_a_spent_pivot_budget_is_a_protocol_error_and_no_thread_dies(toy_retailer, toy_supplier,
+                                                                    monkeypatch):
+    # regression: the simplex raised ArithmeticError, which killed the session
+    # thread, and the coordinator got "ConnectionError: peer closed the stream"
+    died = []
+    monkeypatch.setattr(threading, "excepthook", died.append)
+    agents = [RetailerAgent(toy_retailer), SupplierAgent(toy_supplier)]
+    with protocol.served(agents) as remotes:
+        monkeypatch.setattr(transport, "_MAX_PIVOTS", 0)
+        with pytest.raises(ProtocolError, match="exceeded its pivot budget"):
+            run_consensus(remotes, ConsensusConfig(initial_plan=np.array([40.0, 60.0])))
+    assert died == []
+
+
+def test_a_closed_connection_is_a_protocol_error_naming_the_agent():
+    # regression: a server that hung up surfaced as ConnectionError on the
+    # query's receive and as BrokenPipeError on the next send
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def hang_up():
+        conn, _ = listener.accept()
+        conn.recv(65536)  # hello
+        conn.close()
+
+    thread = threading.Thread(target=hang_up, daemon=True)
+    thread.start()
+    remote = RemoteAgent(listener.getsockname(), dim=2)
+    thread.join()
+    try:
+        for _ in range(2):
+            with pytest.raises(ProtocolError, match=f"agent {remote.agent_id}: connection lost"):
+                remote.respond(np.zeros(2), np.zeros(2), 1.0, 1)
+    finally:
+        remote.close()
+        listener.close()

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
@@ -14,7 +16,7 @@ def assert_certified(offsets, grads, center, rho, cap, x, val):
     """x is feasible and ``val`` is its dual certificate: an upper bound on
     the model's maximum that meets the model value at x up to rounding."""
     assert np.all(x >= 0.0)
-    if cap is not None:
+    if cap < math.inf:
         assert x.sum() <= cap + 1e-7
     scale = 1.0 + np.abs(offsets).max() + np.abs(grads @ x).max()
     gap = val - model_value(offsets, grads, center, rho, x)
@@ -28,7 +30,7 @@ def slsqp_best(offsets, grads, center, rho, cap, rng, starts=4):
     def neg(xt):
         return -model_value(offsets, grads, center, rho, xt)
 
-    cons = [] if cap is None else [{"type": "ineq", "fun": lambda xt: cap - xt.sum()}]
+    cons = [] if cap == math.inf else [{"type": "ineq", "fun": lambda xt: cap - xt.sum()}]
     best = -np.inf
     for _ in range(starts):
         x0 = project_capped(center + rng.normal(scale=3.0, size=n), cap)
@@ -43,7 +45,7 @@ def test_single_cut_closed_form():
     grads = np.array([[2.0, -1.0]])
     center = np.array([1.0, 0.3])
     rho = 2.0
-    x, val = maximize_cut_model(CutSet(offsets, grads), center, rho)
+    x, val = maximize_cut_model(CutSet(offsets, grads), center, rho, math.inf)
     expected = np.maximum(center + grads[0] / rho, 0.0)
     assert np.allclose(x, expected, atol=1e-9)
     assert val == pytest.approx(model_value(offsets, grads, center, rho, expected), abs=1e-9)
@@ -72,15 +74,15 @@ def test_matches_dense_grid_in_2d():
         grads = rng.normal(scale=rng.choice([1, 10, 100]), size=(K, 2))
         center = rng.uniform(-5, 30, size=2)
         rho = float(rng.choice([0.5, 1.0, 4.0]))
-        cap = float(rng.uniform(5, 40)) if rng.random() < 0.5 else None
+        cap = float(rng.uniform(5, 40)) if rng.random() < 0.5 else math.inf
         x, val = maximize_cut_model(CutSet(offsets, grads), center, rho, total_cap=cap)
         # feasibility
         assert np.all(x >= -1e-9)
-        if cap is not None:
+        if cap < math.inf:
             assert x.sum() <= cap + 1e-8
         # dominance over a dense feasible grid
         pts = np.stack(np.meshgrid(np.linspace(0, 40, 161), np.linspace(0, 40, 161)), axis=-1).reshape(-1, 2)
-        if cap is not None:
+        if cap < math.inf:
             pts = pts[pts.sum(axis=1) <= cap]
         grid_vals = np.min(offsets[None, :] + pts @ grads.T, axis=1) - 0.5 * rho * np.sum((pts - center) ** 2, axis=1)
         assert val >= grid_vals.max() - 1e-6
@@ -96,7 +98,7 @@ def test_matches_slsqp_in_higher_dims():
         grads = rng.normal(scale=20, size=(K, n))
         center = rng.uniform(-2, 25, size=n)
         rho = float(rng.choice([0.5, 1.0, 2.0]))
-        cap = float(rng.uniform(10, 60)) if rng.random() < 0.5 else None
+        cap = float(rng.uniform(10, 60)) if rng.random() < 0.5 else math.inf
         x, val = maximize_cut_model(CutSet(offsets, grads), center, rho, total_cap=cap)
         assert_certified(offsets, grads, center, rho, cap, x, val)
         best = slsqp_best(offsets, grads, center, rho, cap, rng)
@@ -133,7 +135,7 @@ def test_duplicate_cuts_are_harmless():
     offsets = np.array([10.0, 10.0, 4.0])
     grads = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     center = np.array([2.0, 2.0])
-    x, val = maximize_cut_model(CutSet(offsets, grads), center, rho=1.0)
+    x, val = maximize_cut_model(CutSet(offsets, grads), center, rho=1.0, total_cap=math.inf)
     pts = np.stack(np.meshgrid(np.linspace(0, 15, 301), np.linspace(0, 15, 301)), axis=-1).reshape(-1, 2)
     grid_vals = np.min(offsets[None, :] + pts @ grads.T, axis=1) - 0.5 * np.sum((pts - center) ** 2, axis=1)
     assert val >= grid_vals.max() - 1e-6
@@ -181,7 +183,7 @@ def random_instance(rng):
         grads[1] = grads[0]
         offsets[1] = offsets[0]
     center = rng.uniform(-10, 50, size=n)
-    cap = float(rng.uniform(1, 80)) if rng.random() < 0.5 else None
+    cap = float(rng.uniform(1, 80)) if rng.random() < 0.5 else math.inf
     return offsets, grads, center, float(rng.choice([0.2, 5.0])), cap
 
 
@@ -198,7 +200,7 @@ def nearly_parallel_instance(rng):
                               rng.integers(5000, 15000, size=flat)]).astype(float)
     center = rng.uniform(0.0, 250.0, size=n)
     rho = float(rng.choice([1 / 256, 1 / 16, 0.25, 1.0, 4.0]))
-    cap = float(rng.integers(100, 600)) if rng.random() < 0.8 else None
+    cap = float(rng.integers(100, 600)) if rng.random() < 0.8 else math.inf
     return offsets, grads, center, rho, cap
 
 
@@ -280,17 +282,17 @@ def test_a_dropped_free_cut_starts_cold(warm_starts):
     # free set it kept is gone and the next call starts cold
     cuts = CutSet([5.0, 50.0], [[0.0, 0.0], [1.0, 1.0]])
     center = np.array([2.0, 3.0])
-    x, _ = maximize_cut_model(cuts, center, 1.0)
+    x, _ = maximize_cut_model(cuts, center, 1.0, math.inf)
     assert x.tolist() == center.tolist()
     cuts.add(60.0, [-1.0, 2.0])
     cuts.keep_last(2)
-    x, val = maximize_cut_model(cuts, center, 1.0)
+    x, val = maximize_cut_model(cuts, center, 1.0, math.inf)
     assert warm_starts == []
-    cold_x, cold_val = cold_call(cuts, center, 1.0, None)
+    cold_x, cold_val = cold_call(cuts, center, 1.0, math.inf)
     assert (x.tolist(), val) == (cold_x.tolist(), cold_val)
-    assert_certified(cuts.offsets, cuts.grads, center, 1.0, None, x, val)
+    assert_certified(cuts.offsets, cuts.grads, center, 1.0, math.inf, x, val)
     # the cuts still held keep their place in the free set
-    maximize_cut_model(cuts, center + 0.01, 1.0)
+    maximize_cut_model(cuts, center + 0.01, 1.0, math.inf)
     assert warm_starts == [True]
 
 
@@ -299,12 +301,12 @@ def test_a_penalty_change_that_empties_a_bound_multiplier_starts_cold(warm_start
     # at rho = 0.5 that multiplier would be -0.5, so the call starts cold
     cuts = CutSet([3.0], [[1.0]])
     center = np.array([-1.0])
-    x, _ = maximize_cut_model(cuts, center, 2.0)
+    x, _ = maximize_cut_model(cuts, center, 2.0, math.inf)
     assert x.tolist() == [0.0]
-    x, val = maximize_cut_model(cuts, center, 0.5)
+    x, val = maximize_cut_model(cuts, center, 0.5, math.inf)
     assert warm_starts == [False]
     assert x.tolist() == [1.0]
-    cold_x, cold_val = cold_call(cuts, center, 0.5, None)
+    cold_x, cold_val = cold_call(cuts, center, 0.5, math.inf)
     assert (x.tolist(), val) == (cold_x.tolist(), cold_val)
 
 

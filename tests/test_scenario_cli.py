@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import random_bilateral
-from coplan import _qp, mechanism, reports, transport
+from coplan import mechanism, reports, transport
 from coplan.cli import main
 from coplan.consensus import ConsensusConfig
 from coplan.errors import ParameterError, SchemaError
@@ -638,7 +638,6 @@ ZERO_CAP = {
 
 @pytest.mark.parametrize("mode", ["cpp", "protocol"])
 def test_a_master_plan_past_a_zero_cap_by_rounding_is_projected(mode, tmp_path, capsys):
-    assert _qp._CAP_TOL == transport._TOL  # the master keeps to supplier_utility's slack
     path = tmp_path / "zero-cap.scn"
     path.write_text(json.dumps(ZERO_CAP))
     argv = ["--scenario", str(path), "--mode", mode, "--analyses", "jit,firstbest,vcg"]
@@ -721,3 +720,50 @@ def test_centralized_reports_do_not_depend_on_units():
                 got = json.loads(run(scenario_from_dict(doc), analyses=analyses).to_json())
                 want = json.loads(json.dumps(scaled_report(base.machine, 2.0 ** a, 2.0 ** b)))
                 assert got == want, (fee["variant"], a, b)
+
+
+@pytest.mark.parametrize("mode", ["centralized", "protocol"])
+def test_a_spent_pivot_budget_exits_2(mode, monkeypatch, capsys):
+    # regression: the simplex raised ArithmeticError, which is no CoplanError,
+    # so the CLI ended in a traceback
+    monkeypatch.setattr(transport, "_MAX_PIVOTS", 0)
+    assert main(["--scenario", "toy", "--mode", mode]) == 2
+    assert "exceeded its pivot budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("alpha", ["nan", "inf"])
+def test_a_non_finite_alpha_flag_exits_2(alpha, capsys):
+    # regression: FeePolicy checked only alpha < 0, so the report failed its
+    # transfer identity and the CLI exited 3 on bad input
+    assert main(["--scenario", "toy", "--alpha", alpha]) == 2
+    assert "fee parameter alpha must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("dynamic.demand_path", [-1, 10, 10, 10, 10, 10], "realized demand must be nonnegative"),
+    ("dynamic.initial_inventory", -5, "must be nonnegative"),
+])
+def test_negative_realized_demand_and_stock_are_schema_errors(key, value, message, tmp_path,
+                                                              capsys):
+    # regression: both ran; a demand of -1 sold -1 unit in week 1
+    doc = edited("toy_dynamic", {key: value})
+    with pytest.raises(SchemaError) as caught:
+        scenario_from_dict(doc)
+    assert (caught.value.path, str(caught.value)) == (key, f"{key}: {message}")
+    scn = tmp_path / "bad.scn"
+    scn.write_text(json.dumps(doc))
+    assert main(["--scenario", str(scn), "--analyses", "dynamic"]) == 2
+    assert f"{key}: {message}" in capsys.readouterr().err
+
+
+def test_the_seed_is_recorded_in_the_machine_report(tmp_path):
+    out = tmp_path / "report.json"
+    assert main(["--scenario", "toy", "--analyses", "jit", "--seed", "7",
+                 "--json", str(out)]) == 0
+    assert json.loads(out.read_text())["seed"] == 7
+
+
+def test_all_analyses_skip_dynamic_without_a_dynamic_block(tmp_path):
+    out = tmp_path / "report.json"
+    assert main(["--scenario", "toy", "--analyses", "all", "--json", str(out)]) == 0
+    assert json.loads(out.read_text())["analyses"] == ["firstbest", "jit", "menu", "vcg"]

@@ -21,7 +21,7 @@ import numpy as np
 
 from ._qp import CutSet, maximize_cut_model, project_capped
 from .errors import DimensionError, NonConvergenceError, ParameterError
-from .transport import retailer_utility, supplier_utility
+from .transport import checked, retailer_utility, supplier_utility
 
 _BR_GAP_TOL = 1e-12    # relative gap at which a best response is certified
 _BR_MAX_EVALS = 120
@@ -29,6 +29,7 @@ _ADAPT_EVERY = 25      # rho rebalance cadence; every iteration oscillates
 _ADAPT_RATIO = 10.0    # residual imbalance that triggers a rebalance
 _ADAPT_FACTOR = 2.0    # rho multiplier of one rebalance
 _ADAPT_SPAN = 256.0    # rho stays within rho0 / span .. rho0 * span
+_RHO_RULE = "penalty rho must be positive and finite"
 
 
 class PlanAgent:
@@ -116,8 +117,9 @@ def best_response(agent, prices, z, rho, cuts=None):
         raise DimensionError(
             f"prices {prices.shape} / proposal {z.shape} do not match agent dimension {agent.dim}"
         )
-    if not 0 < rho < inf:
-        raise ParameterError("penalty rho must be positive and finite")
+    rho = checked(rho, "rho", message=_RHO_RULE)
+    if not rho > 0:
+        raise ParameterError(_RHO_RULE)
     prox = getattr(agent, "prox_respond", None)
     if prox is not None:
         return BestResponse(plan=prox(prices, z, rho), gap=0.0, evaluations=0)
@@ -193,11 +195,14 @@ class ConsensusConfig:
     initial_prices: np.ndarray | None = None
 
     def __post_init__(self):
-        if not -inf < self.rho < inf:  # NaN too
-            raise ParameterError("penalty rho must be positive and finite")
-        for name in ("eps_abs", "eps_rel"):
-            if not -inf < getattr(self, name) < inf:
-                raise ParameterError(f"{name} must be finite")
+        # rho <= 0 is left to the scenario reader, which names its key
+        object.__setattr__(self, "rho", checked(self.rho, "rho", message=_RHO_RULE))
+        for name in ("eps_abs", "eps_rel", "initial_plan", "initial_prices"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, checked(getattr(self, name), name))
+        if (isinstance(self.max_iters, bool) or not isinstance(self.max_iters, (int, np.integer))
+                or self.max_iters < 1):
+            raise ParameterError("max_iters must be a positive integer")
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,6 @@ so each week's joint plan comes out of the same coordination loop used for
 the static case.
 """
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -28,6 +27,7 @@ import numpy as np
 from ._qp import CutSet, maximize_cut_model
 from .consensus import ConsensusConfig, PlanAgent, run_consensus
 from .errors import DimensionError, ParameterError, StateError
+from .transport import checked
 
 MODES = ("none", "full-horizon")
 # free weeks up to which the retailer's prox is solved exactly on its
@@ -53,30 +53,21 @@ class InventoryModel:
     target_inventory: np.ndarray | None = None  # order-up-to level, default = forecast
 
     def __post_init__(self):
-        f = np.asarray(self.forecasts, dtype=float)
+        f = np.asarray(checked(self.forecasts, "forecasts", nonnegative=True), dtype=float)
         if f.ndim != 1 or f.size == 0:
             raise DimensionError("forecasts must be a nonempty vector")
         for name in ("holding_cost", "lost_sales_cost", "retailer_margin", "supplier_margin",
                      "smoothing_cost"):
-            if not -math.inf < getattr(self, name) < math.inf:  # NaN too
-                raise ParameterError(f"{name} must be finite")
-        if not np.isfinite(f).all():
-            raise ParameterError("forecasts must be finite")
-        if np.any(f < 0):
-            raise ParameterError("forecasts must be nonnegative")
-        if not self.horizon >= 1:  # NaN too
+            object.__setattr__(self, name, checked(getattr(self, name), name,
+                                                   nonnegative=not name.endswith("margin")))
+        if isinstance(self.horizon, bool) or not isinstance(self.horizon, (int, np.integer)):
+            raise ParameterError("planning horizon must be a whole number of weeks")
+        if self.horizon < 1:
             raise ParameterError("planning horizon must be at least one week")
-        for name in ("holding_cost", "lost_sales_cost", "smoothing_cost"):
-            if getattr(self, name) < 0:
-                raise ParameterError(f"{name} must be nonnegative")
-        tip = self.target_inventory
-        tip = f.copy() if tip is None else np.asarray(tip, dtype=float)
+        tip = f if self.target_inventory is None else self.target_inventory
+        tip = np.array(checked(tip, "target_inventory", nonnegative=True), dtype=float)
         if tip.shape != f.shape:
             raise DimensionError("target_inventory must match the forecasts")
-        if not np.isfinite(tip).all():
-            raise ParameterError("target_inventory must be finite")
-        if np.any(tip < 0):
-            raise ParameterError("target_inventory must be nonnegative")
         object.__setattr__(self, "forecasts", f)
         object.__setattr__(self, "target_inventory", tip)
 
@@ -471,6 +462,7 @@ class WeekRecord:
 def roll_forward(model, state, realized_demand, plan):
     """Issue the week's coordinated order, settle the week's payment, update
     inventory with realized demand, and advance the state."""
+    realized_demand = checked(realized_demand, "realized demand", nonnegative=True)
     plan = _window_orders(model, plan, state)
     jit_orders = jit_policy(model, state)
     if state.mode == "none":
@@ -480,12 +472,12 @@ def roll_forward(model, state, realized_demand, plan):
 
     order = float(plan[0])
     available = state.on_hand + order
-    sales = min(float(realized_demand), available)
+    sales = min(realized_demand, available)
     end_inventory = available - sales
     record = WeekRecord(
         week=state.week,
         order=order,
-        realized_demand=float(realized_demand),
+        realized_demand=realized_demand,
         sales=sales,
         end_inventory=end_inventory,
         cbt=float(cbt),
@@ -510,13 +502,11 @@ def simulate(model, demand_path, mode="none", on_hand=0.0):
     """Roll the model through the whole episode under realized demand.  Each
     week's coordination warm-starts from the previous week's shifted plan and
     prices."""
-    demand_path = np.asarray(demand_path, dtype=float)
+    demand_path = np.asarray(checked(demand_path, "realized demand", nonnegative=True),
+                             dtype=float)
     if demand_path.shape != (model.n_weeks,):
         raise DimensionError("demand path must cover the episode")
-    if not (np.isfinite(demand_path).all() and (demand_path >= 0).all()):
-        raise ParameterError("realized demand must be finite and nonnegative")
-    if not 0.0 <= on_hand < math.inf:
-        raise ParameterError("starting inventory must be finite and nonnegative")
+    on_hand = checked(on_hand, "starting inventory", nonnegative=True)
     state = model.initial_state(mode=mode, on_hand=on_hand)
     records = []
     warm_plan = warm_prices = None

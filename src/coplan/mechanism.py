@@ -17,7 +17,6 @@ can possibly sell has no retail value, and leaving the total uncapped would
 let gross supplier margin on unsellable units masquerade as joint surplus.
 """
 
-import math
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
@@ -26,7 +25,7 @@ import numpy as np
 from ._qp import project_capped
 from .consensus import ConsensusConfig, RetailerAgent, SupplierAgent, run_consensus
 from .errors import InfeasibleError, ParameterError
-from .transport import as_plan, exceeds, solve_transport
+from .transport import as_plan, checked, exceeds, solve_transport
 
 _TOL = 1e-9
 
@@ -48,10 +47,8 @@ class FeePolicy:
         if self.variant not in FEE_VARIANTS:
             raise ParameterError(f"unknown fee variant {self.variant!r}")
         for name in ("alpha", "beta", "roi_rate", "over_rate", "under_rate"):
-            if not -math.inf < getattr(self, name) < math.inf:  # NaN too
-                raise ParameterError(f"fee parameter {name} must be finite")
-            if getattr(self, name) < 0:
-                raise ParameterError(f"fee parameter {name} must be nonnegative")
+            object.__setattr__(self, name, checked(getattr(self, name), f"fee parameter {name}",
+                                                   nonnegative=True))
         if self.variant == "roi" and self.roi_rate >= 1.0:
             raise ParameterError("roi_rate must be below 1")
         if self.variant == "linear_deviation" and self.under_rate > self.over_rate:
@@ -63,20 +60,19 @@ class FeePolicy:
 
     @classmethod
     def additive(cls, alpha):
-        return cls(variant="additive", alpha=float(alpha))
+        return cls(variant="additive", alpha=alpha)
 
     @classmethod
     def multiplicative(cls, beta):
-        return cls(variant="multiplicative", beta=float(beta))
+        return cls(variant="multiplicative", beta=beta)
 
     @classmethod
     def roi(cls, rate):
-        return cls(variant="roi", roi_rate=float(rate))
+        return cls(variant="roi", roi_rate=rate)
 
     @classmethod
     def linear_deviation(cls, over_rate, under_rate):
-        return cls(variant="linear_deviation", over_rate=float(over_rate),
-                   under_rate=float(under_rate))
+        return cls(variant="linear_deviation", over_rate=over_rate, under_rate=under_rate)
 
     @property
     def moves_plan(self):
@@ -178,8 +174,6 @@ class BoostedRetailerAgent(RetailerAgent):
         super().__init__(spec)
         self.fee = fee
         self.reference = None if standalone_plan is None else np.asarray(standalone_plan, float)
-        if fee.variant == "linear_deviation" and self.reference is None:
-            raise ParameterError("linear_deviation boosting needs the standalone plan")
 
     def evaluate(self, plan):
         value, grad = super().evaluate(plan)
@@ -201,23 +195,31 @@ def efficient_plan(retailer, supplier, fee=None, status_quo=None):
     plus the supplier utility over X, by one joint LP over plans and both
     transport flows (:func:`linprog`).  :func:`consensus_plan` reaches the
     same plan by the consensus loop against black-box agents."""
+    fee, reference = _fee_and_reference(retailer, supplier, fee, status_quo)
+    return linprog(retailer, supplier, fee, reference)
+
+
+def _fee_and_reference(retailer, supplier, fee, status_quo):
+    """The fee (none by default) and the retailer's standalone plan that a
+    deviation charge is measured from, which a ``linear_deviation`` fee
+    given no status quo computes by :func:`standalone_plans`."""
     fee = fee or FeePolicy.none()
     if fee.variant == "linear_deviation" and status_quo is None:
         status_quo = standalone_plans(retailer, supplier)
-    reference = status_quo.retailer_plan if status_quo is not None else None
-    return linprog(retailer, supplier, fee, reference)
+    return fee, status_quo.retailer_plan if status_quo is not None else None
 
 
 def consensus_plan(retailer, supplier, fee=None, status_quo=None, config=None,
                    endpoints=None, trace=None):
     """Efficient plan by the consensus loop, projected back into X, and the
     :class:`ConsensusResult`.  The loop starts from the status-quo order (else
-    the standalone order) unless ``config`` pins a start.  ``endpoints``, when
-    given, is called as ``endpoints(agents)`` and must be a context manager
-    yielding the endpoints to coordinate (``protocol.served``); every query
-    carries its penalty, so ``adapt_rho`` runs over the wire too."""
-    fee = fee or FeePolicy.none()
-    reference = status_quo.retailer_plan if status_quo is not None else None
+    the standalone order) unless ``config`` pins a start; a deviation fee
+    given no status quo is measured as in :func:`efficient_plan`.
+    ``endpoints``, when given, is called as ``endpoints(agents)`` and must be
+    a context manager yielding the endpoints to coordinate
+    (``protocol.served``); every query carries its penalty, so ``adapt_rho``
+    runs over the wire too."""
+    fee, reference = _fee_and_reference(retailer, supplier, fee, status_quo)
     cfg = config or ConsensusConfig(eps_abs=1e-6, eps_rel=1e-6, adapt_rho=True)
     if cfg.initial_plan is None:
         start = reference if reference is not None else jit_plan(retailer)

@@ -23,7 +23,6 @@ Canonical examples:
 """
 
 import json
-import math
 import os
 import socket
 import threading
@@ -35,6 +34,7 @@ import numpy as np
 from .consensus import LocalEndpoint
 from .errors import AgentTimeoutError, InfeasibleError, ParameterError, ParseError, ProtocolError
 from .mechanism import participates
+from .transport import checked
 
 DEFAULT_TIMEOUT = 30.0
 LISTEN_ENV_VAR = "COPLAN_LISTEN"
@@ -58,6 +58,8 @@ _FIELDS = {
     "bye": (),
 }
 _VECTOR_FIELDS = ("prices", "z", "plan")
+_KEYS = {kind: {"kind", "session", *fields} for kind, fields in _FIELDS.items()}
+_NUMBERS = {int, float}
 
 
 @dataclass(frozen=True)
@@ -91,18 +93,6 @@ def _reject_constant(token):
 _DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 
 
-def _finite(number, name):
-    """``number`` as a finite float; an integer too large for a float (json
-    reads any run of digits) is as unusable as an infinity."""
-    try:
-        value = float(number)
-    except OverflowError:
-        value = math.inf
-    if not math.isfinite(value):
-        raise ParseError(f"non-finite number in {name}")
-    return value
-
-
 def decode(line):
     """Parse one wire line (bytes) into a :class:`Message`; malformed input
     raises :class:`ParseError` with a reason and byte offset."""
@@ -126,7 +116,7 @@ def decode(line):
     session = doc.get("session")
     if not isinstance(session, str) or not session:
         raise ParseError("missing or invalid session id")
-    expected = {"kind", "session", *_FIELDS[kind]}
+    expected = _KEYS[kind]
     extra = set(doc) - expected
     if extra:
         raise ParseError(f"unexpected fields {sorted(extra)}")
@@ -135,29 +125,26 @@ def decode(line):
         raise ParseError(f"missing fields {sorted(missing)}")
 
     payload = {}
-    for name in _FIELDS[kind]:
-        value = doc[name]
-        if name in ("iteration", "dim"):
-            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-                raise ParseError(f"{name} must be a nonnegative integer")
-        elif name in _VECTOR_FIELDS:
-            # json gives numbers as exactly int or float (bool is neither)
-            if not isinstance(value, list) or not set(map(type, value)) <= {int, float}:
-                raise ParseError(f"{name} must be a list of numbers")
-            try:
-                finite = all(map(math.isfinite, value))
-            except OverflowError:  # an integer too large for a float
-                finite = False
-            if not finite:
-                raise ParseError(f"non-finite number in {name}")
-            value = np.array(value, dtype=float)
-        elif name in ("rho", "fee"):
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ParseError(f"{name} must be a number")
-            value = _finite(value, name)
-        elif name == "reason" and not isinstance(value, str):
-            raise ParseError("reason must be a string")
-        payload[name] = value
+    try:
+        for name in _FIELDS[kind]:
+            value = doc[name]
+            if name in ("iteration", "dim"):
+                if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+                    raise ParseError(f"{name} must be a nonnegative integer")
+            elif name in _VECTOR_FIELDS:
+                # json gives numbers as exactly int or float (bool is neither)
+                if not isinstance(value, list) or not set(map(type, value)) <= _NUMBERS:
+                    raise ParseError(f"{name} must be a list of numbers")
+                value = np.array(checked(value, name), dtype=float)
+            elif name in ("rho", "fee"):
+                if not isinstance(value, (int, float)) or isinstance(value, bool):
+                    raise ParseError(f"{name} must be a number")
+                value = checked(value, name)
+            elif name == "reason" and not isinstance(value, str):
+                raise ParseError("reason must be a string")
+            payload[name] = value
+    except ParameterError:  # from checked: an integer too large for a float
+        raise ParseError(f"non-finite number in {name}") from None
     dim = payload.get("dim")
     if dim is not None:
         for name in _VECTOR_FIELDS:

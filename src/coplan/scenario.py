@@ -8,7 +8,6 @@ fills.  ``toy`` and ``toy_dynamic`` are bundled examples.
 """
 
 import json
-import math
 from dataclasses import MISSING, dataclass, fields
 from importlib import resources
 from pathlib import Path
@@ -17,9 +16,9 @@ import numpy as np
 
 from .consensus import ConsensusConfig
 from .dynamic import MODES, InventoryModel
-from .errors import CoplanError, SchemaError
+from .errors import CoplanError, ParameterError, SchemaError
 from .mechanism import FEE_VARIANTS, FeePolicy
-from .transport import RetailerSpec, SupplierSpec
+from .transport import RetailerSpec, SupplierSpec, checked
 
 RUN_MODES = ("centralized", "cpp", "protocol")
 ANALYSES = ("jit", "firstbest", "vcg", "menu", "dynamic")
@@ -48,27 +47,24 @@ def _is_number(value):
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _floats(values, path):
-    """``values`` as floats, none of them NaN, infinite or past a float's range."""
+def _finite(values, path):
+    """A number as a float, or a list of numbers, checked by :func:`~coplan.transport.checked`."""
     try:
-        out = [float(v) for v in values]
-    except OverflowError:
-        out = [math.inf]
-    if not all(map(math.isfinite, out)):
-        raise SchemaError(path, "non-finite number")
-    return out
+        return checked(values, path)
+    except ParameterError:
+        raise SchemaError(path, "non-finite number") from None
 
 
 def _number(value, path):
     if not _is_number(value):
         raise SchemaError(path, "expected a number")
-    return _floats((value,), path)[0]
+    return _finite(value, path)
 
 
 def _vector(value, path):
     if not isinstance(value, list) or not value or not all(map(_is_number, value)):
         raise SchemaError(path, "expected a nonempty list of numbers")
-    return _floats(value, path)
+    return _finite(value, path)
 
 
 def _matrix(value, path):
@@ -77,7 +73,7 @@ def _matrix(value, path):
         raise SchemaError(path, "expected a nonempty matrix")
     if any(len(row) != len(value[0]) or not all(map(_is_number, row)) for row in value):
         raise SchemaError(path, "rows must be equal-length lists of numbers")
-    return [_floats(row, path) for row in value]
+    return [_finite(row, path) for row in value]
 
 
 def _kind(accepts, message):
@@ -228,7 +224,7 @@ def scenario_from_dict(doc, name="scenario"):
         for idx, plan in enumerate(menu_plans):
             if not isinstance(plan, list) or len(plan) != n or not all(map(_is_number, plan)):
                 raise SchemaError(f"menu_plans[{idx}]", f"expected {n} numbers")
-        menu_plans = [_floats(p, f"menu_plans[{i}]") for i, p in enumerate(menu_plans)]
+        menu_plans = [_finite(p, f"menu_plans[{i}]") for i, p in enumerate(menu_plans)]
 
     dynamic = doc.get("dynamic")
     if dynamic is not None:

@@ -23,6 +23,7 @@ An optional virtual slack source with a per-unit penalty makes short problems
 feasible (lost-sales style).
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,20 +35,50 @@ from .errors import DimensionError, InfeasibleError, NonConvergenceError, Parame
 _TOL = 1e-9
 _EPS = 1e-12
 _MAX_PIVOTS = 20000
+_PLAIN = {int, float}
 
 
-def _as_vector(x, name):
-    v = np.asarray(x, dtype=float)
-    if v.ndim != 1:
-        raise DimensionError(f"{name} must be one-dimensional, got shape {v.shape}")
-    if not np.isfinite(v).all():
-        raise ParameterError(f"{name} contains non-finite entries")
+def checked(values, name, nonnegative=False, message=None):
+    """The one input rule: every number coplan takes in is finite, fits in a
+    float (json and Python read integers of any length) and, if
+    ``nonnegative``, is at least zero.  A number comes back as a float; a list
+    of Python numbers (as json decodes one; its first entry tells) is checked
+    without numpy and comes back as it is; anything else comes back as a float
+    array.  A fault raises :class:`ParameterError`: ``message``, else "<name>
+    must be finite" or "<name> must be nonnegative"."""
+    try:
+        kind = type(values)
+        if kind is list and (not values or type(values[0]) in _PLAIN):
+            out = values
+            finite = all(map(math.isfinite, out))
+            negative = nonnegative and min(out, default=0) < 0
+        elif kind is float or kind is int:
+            out = float(values)
+            finite, negative = math.isfinite(out), out < 0
+        else:
+            out = np.asarray(values, dtype=float)
+            finite = np.isfinite(out).all()
+            # np.min's reduction without its wrapper, and with an empty array's answer
+            negative = nonnegative and np.minimum.reduce(out, axis=None, initial=0.0) < 0
+            out = float(out) if out.ndim == 0 else out
+    except OverflowError:  # an integer too large for a float
+        finite = False
+    if not finite or nonnegative and negative:
+        raise ParameterError(message or f"{name} must be {'nonnegative' if finite else 'finite'}")
+    return out
+
+
+def _as_array(x, name, ndim=1, nonnegative=False):
+    v = np.asarray(checked(x, name, nonnegative), dtype=float)
+    if v.ndim != ndim:
+        shape = "one-dimensional" if ndim == 1 else "a matrix"
+        raise DimensionError(f"{name} must be {shape}, got shape {v.shape}")
     return v
 
 
 def as_plan(x, dim=None):
     """Validate a supply plan: a one-dimensional nonnegative float vector."""
-    v = _as_vector(x, "plan")
+    v = _as_array(x, "plan")
     if dim is not None and v.size != dim:
         raise DimensionError(f"plan has {v.size} entries, expected {dim}")
     if (v < -_TOL).any():
@@ -197,20 +228,14 @@ def solve_transport(costs, row_bounds, col_requirements, slack_penalty=None):
     without a penalty the short problem raises :class:`InfeasibleError`.
     Ties among optimal flows are broken by row-major arc order.
     """
-    c = np.asarray(costs, dtype=float)
-    if c.ndim != 2:
-        raise DimensionError(f"costs must be a matrix, got shape {c.shape}")
-    rb = _as_vector(row_bounds, "row_bounds")
-    cq = _as_vector(col_requirements, "col_requirements")
+    c = _as_array(costs, "costs", ndim=2)
+    rb = _as_array(row_bounds, "row_bounds", nonnegative=True)
+    cq = _as_array(col_requirements, "col_requirements", nonnegative=True)
     rows, cols = c.shape
     if rb.size != rows or cq.size != cols:
         raise DimensionError(
             f"costs {c.shape} inconsistent with bounds ({rb.size},) / requirements ({cq.size},)"
         )
-    if (rb < 0).any() or (cq < 0).any():
-        raise ParameterError("bounds and requirements must be nonnegative")
-    if not np.isfinite(c).all():
-        raise ParameterError("costs must be finite")
 
     total_bound = float(rb.sum())
     total_req = float(cq.sum())
@@ -230,7 +255,7 @@ def solve_transport(costs, row_bounds, col_requirements, slack_penalty=None):
     supply = rb.tolist()
     surplus = total_bound - total_req
     if use_slack:
-        tab_costs[rows, :cols] = float(slack_penalty)
+        tab_costs[rows, :cols] = checked(slack_penalty, "slack_penalty", nonnegative=True)
         supply.append(total_req)
         surplus = float(np.array(supply).sum() - total_req)
     if surplus < 0:
@@ -282,23 +307,20 @@ class RetailerSpec:
     lost_sales_penalty: float = 1000.0
 
     def __post_init__(self):
-        d = _as_vector(self.demand, "demand")
-        g = _as_vector(self.gross_profit, "gross_profit")
-        c = np.asarray(self.arc_costs, dtype=float)
-        if c.ndim != 2:
-            raise DimensionError(f"arc_costs must be a matrix, got shape {c.shape}")
+        d = _as_array(self.demand, "demand", nonnegative=True)
+        g = _as_array(self.gross_profit, "gross_profit")
+        c = _as_array(self.arc_costs, "arc_costs", ndim=2, nonnegative=True)
+        penalty = checked(self.lost_sales_penalty, "lost_sales_penalty")
         if c.shape[1] != d.size or g.size != d.size:
             raise DimensionError(
                 f"arc_costs {c.shape}, demand ({d.size},), gross_profit ({g.size},) disagree"
             )
-        if np.any(d < 0) or np.any(c < 0):
-            raise ParameterError("demand and arc costs must be nonnegative")
-        if c.size and self.lost_sales_penalty <= float(c.max()):
+        if c.size and penalty <= float(c.max()):
             raise ParameterError("lost_sales_penalty must exceed every arc cost")
         object.__setattr__(self, "demand", d)
         object.__setattr__(self, "arc_costs", c)
         object.__setattr__(self, "gross_profit", g)
-        object.__setattr__(self, "lost_sales_penalty", float(self.lost_sales_penalty))
+        object.__setattr__(self, "lost_sales_penalty", penalty)
 
     @property
     def n_inbound(self):
@@ -323,17 +345,13 @@ class SupplierSpec:
     gross_profit: np.ndarray      # (I,) $/unit supplied
 
     def __post_init__(self):
-        s = _as_vector(self.capacities, "capacities")
-        g = _as_vector(self.gross_profit, "gross_profit")
-        c = np.asarray(self.arc_costs, dtype=float)
-        if c.ndim != 2:
-            raise DimensionError(f"arc_costs must be a matrix, got shape {c.shape}")
+        s = _as_array(self.capacities, "capacities", nonnegative=True)
+        g = _as_array(self.gross_profit, "gross_profit")
+        c = _as_array(self.arc_costs, "arc_costs", ndim=2, nonnegative=True)
         if c.shape[0] != s.size or c.shape[1] != g.size:
             raise DimensionError(
                 f"arc_costs {c.shape}, capacities ({s.size},), gross_profit ({g.size},) disagree"
             )
-        if np.any(s < 0) or np.any(c < 0):
-            raise ParameterError("capacities and arc costs must be nonnegative")
         object.__setattr__(self, "capacities", s)
         object.__setattr__(self, "arc_costs", c)
         object.__setattr__(self, "gross_profit", g)

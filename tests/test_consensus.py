@@ -437,3 +437,16 @@ def test_a_session_past_48_cuts_keeps_its_last_32():
 def test_a_non_finite_consensus_number_is_a_parameter_error(field, value):
     with pytest.raises(ParameterError, match="finite"):
         ConsensusConfig(**{field: value})
+
+
+def test_run_consensus_checks_its_agents_and_its_start(toy_retailer, toy_supplier):
+    agents = [RetailerAgent(toy_retailer), SupplierAgent(toy_supplier)]
+    with pytest.raises(ParameterError, match="at least one agent is required"):
+        run_consensus([])
+    wide = MinOfLines(np.zeros(1), np.zeros((1, 3)))
+    with pytest.raises(DimensionError, match=r"agents disagree on plan dimension: \[2, 3\]"):
+        run_consensus([*agents, wide])
+    with pytest.raises(DimensionError, match="initial plan has the wrong dimension"):
+        run_consensus(agents, ConsensusConfig(initial_plan=[1.0, 2.0, 3.0]))
+    with pytest.raises(DimensionError, match="initial prices have the wrong shape"):
+        run_consensus(agents, ConsensusConfig(initial_prices=np.zeros((3, 2))))

@@ -395,3 +395,16 @@ def test_self_checks_survive_python_dash_O():
                           timeout=60)
     assert done.returncode != 0
     assert "AssertionError: transfer identity broken" in done.stderr
+
+
+def test_consensus_plan_measures_a_deviation_fee_from_the_standalone_plan_by_default(
+        toy_retailer, toy_supplier, toy_status_quo):
+    # regression: given no status quo, efficient_plan computed the standalone
+    # plans itself while consensus_plan raised ParameterError
+    fee = FeePolicy.linear_deviation(2, 1)
+    plan, result = consensus_plan(toy_retailer, toy_supplier, fee=fee)
+    want_plan, want = consensus_plan(toy_retailer, toy_supplier, fee=fee,
+                                     status_quo=toy_status_quo)
+    assert np.array_equal(plan, want_plan) and np.array_equal(result.prices, want.prices)
+    assert result.iterations == want.iterations and result.converged
+    assert np.allclose(plan, efficient_plan(toy_retailer, toy_supplier, fee=fee), atol=1e-3)

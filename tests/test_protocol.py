@@ -463,3 +463,80 @@ def test_a_closed_connection_is_a_protocol_error_naming_the_agent():
     finally:
         remote.close()
         listener.close()
+
+
+@pytest.mark.parametrize("messages, reason", [
+    ((Message("bye", "s1"),), "expected hello"),
+    ((HELLO, Message("bye", "s2")), "unknown session"),
+    ((HELLO, Message("accept", "s1")), "unexpected accept"),
+])
+def test_a_session_out_of_order_is_refused(toy_supplier_server, messages, reason):
+    replies = exchange(toy_supplier_server.address, *messages)
+    assert [(r.kind, r.payload) for r in replies] == [("error", {"reason": reason})]
+
+
+def stub_peer(reply):
+    """A listener whose one session answers each message after the hello with
+    ``reply(message)``, a message sent back as it is."""
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def serve():
+        conn, _ = listener.accept()
+        channel = protocol._LineChannel(conn)
+        try:
+            channel.recv(timeout=10.0)  # hello
+            while True:
+                channel.send(reply(channel.recv(timeout=10.0)))
+        except (OSError, ParseError):
+            pass
+        finally:
+            conn.close()
+
+    threading.Thread(target=serve, daemon=True).start()
+    return listener
+
+
+RESPONSE = {"iteration": 1, "dim": 2, "plan": [0.0, 0.0]}
+
+
+@pytest.mark.parametrize("reply, call, message", [
+    (Message("decline", "s1"), "respond", "expected response, got decline"),
+    (Message("response", "s1", payload={**RESPONSE, "dim": 3, "plan": [0.0] * 3}), "respond",
+     "response dimension does not match the session"),
+    (Message("response", "s1", payload=RESPONSE), "offer",
+     "expected accept/decline, got response"),
+])
+def test_a_reply_of_the_wrong_kind_or_dimension_is_a_protocol_error(reply, call, message):
+    listener = stub_peer(lambda _: reply)
+    remote = RemoteAgent(listener.getsockname(), dim=2)
+    try:
+        with pytest.raises(ProtocolError, match=message):
+            if call == "respond":
+                remote.respond(np.zeros(2), np.zeros(2), 1.0, 1)
+            else:
+                remote.offer([1.0, 2.0], 0.0)
+    finally:
+        remote.close()
+        listener.close()
+
+
+@pytest.mark.parametrize("line, reason", [
+    (b'{"kind":"hello","session":"s1"}', "missing fields ['dim']"),
+    (b'{"kind":"offer","session":"s1","dim":1,"plan":1.0,"fee":1.0}',
+     "plan must be a list of numbers"),
+    (b'{"kind":"offer","session":"s1","dim":1,"plan":[true],"fee":1.0}',
+     "plan must be a list of numbers"),
+    (b'{"kind":"offer","session":"s1","dim":1,"plan":[1.0],"fee":"1"}', "fee must be a number"),
+    (b'{"kind":"error","session":"s1","reason":7}', "reason must be a string"),
+])
+def test_a_field_of_the_wrong_type_is_a_parse_error(line, reason):
+    with pytest.raises(ParseError) as caught:
+        decode(line)
+    assert caught.value.reason == reason
+
+
+def test_encode_refuses_an_unknown_kind_or_a_missing_field():
+    with pytest.raises(ProtocolError, match="unknown message kind 'warp'"):
+        encode(Message("warp", "s1"))
+    with pytest.raises(ProtocolError, match="hello message is missing field 'dim'"):
+        encode(Message("hello", "s1"))

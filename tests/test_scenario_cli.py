@@ -767,3 +767,21 @@ def test_all_analyses_skip_dynamic_without_a_dynamic_block(tmp_path):
     out = tmp_path / "report.json"
     assert main(["--scenario", "toy", "--analyses", "all", "--json", str(out)]) == 0
     assert json.loads(out.read_text())["analyses"] == ["firstbest", "jit", "menu", "vcg"]
+
+
+@pytest.mark.parametrize("case, message", [
+    ("bundled", "nosuch: no such bundled scenario"),
+    ("directory", "cannot read scenario: "),
+    ("invalid-json", "invalid json: Expecting ',' delimiter (line 2)"),
+    ("analyses", "unknown analyses ['bogus']"),
+])
+def test_unusable_cli_input_exits_2(case, message, tmp_path, capsys):
+    bad = tmp_path / "bad.scn"
+    bad.write_text('{"name": "x",\n "retailer": {} "supplier": {}}')
+    argv = {"bundled": ["--scenario", "nosuch"],
+            "directory": ["--scenario", str(tmp_path)],
+            "invalid-json": ["--scenario", str(bad)],
+            "analyses": ["--scenario", "toy", "--analyses", "jit,bogus"]}[case]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err

@@ -72,6 +72,10 @@ class CutSet:
     their KKT matrix at the last call's ``rho``, built anew only when the
     free set or ``rho`` changes, so a warm start only builds the right-hand
     side and solves.
+
+    Each cut may carry a certificate from the agent that made it (see
+    :class:`~coplan.consensus.PlanAgent`), kept beside it and dropped with
+    it; :meth:`lowest` hands it back.
     """
 
     def __init__(self, offsets=(), grads=()):
@@ -79,6 +83,7 @@ class CutSet:
         for offset, grad in zip(offsets, grads):
             self._ids.setdefault(_row(offset, grad), len(self._ids))
         self._next_id = len(self._ids)
+        self._certificates = [None] * len(self._ids)  # one per cut, in cut order
         self._A = None   # dual columns, built with the first cut
         if self._ids:
             self._set_columns(np.array(list(self._ids)))
@@ -97,13 +102,14 @@ class CutSet:
     def grads(self):
         return np.zeros((0, 0)) if self._A is None else self._A[:-1, :len(self)].T
 
-    def add(self, offset, grad):
-        """Add a cut; return whether it was new."""
+    def add(self, offset, grad, certificate=None):
+        """Add a cut with its ``certificate``; return whether it was new."""
         key = _row(offset, grad)
         if key in self._ids:
             return False
         self._ids[key] = self._next_id
         self._next_id += 1
+        self._certificates.append(certificate)
         if self._A is None:
             self._set_columns(np.array([key]))
             return True
@@ -119,8 +125,18 @@ class CutSet:
         drop = len(self) - n
         if drop > 0:
             self._ids = dict(list(self._ids.items())[drop:])
+            self._certificates = self._certificates[drop:]
             self._A, self._q = self._A[:, drop:], self._q[drop:]
             self._norms, self._abs_B = self._norms[drop:], self._abs_B[:, drop:]
+
+    def lowest(self, x):
+        """The value at ``x`` of the cut lowest there (the oldest among
+        ties), which is the model's value at ``x``, and that cut's
+        certificate."""
+        K = len(self)
+        values = self._q[:K] + x @ self._A[:-1, :K]
+        k = int(values.argmin())
+        return float(values[k]), self._certificates[k]
 
     def _set_columns(self, rows):
         """Dual columns [grad; 1] of the cut ``rows`` (offset, *grad), then

@@ -20,8 +20,16 @@ from math import inf, sqrt
 import numpy as np
 
 from ._qp import CutSet, maximize_cut_model, project_capped
-from .errors import DimensionError, NonConvergenceError, ParameterError
-from .transport import checked, retailer_utility, supplier_utility
+from .errors import CoplanError, DimensionError, NonConvergenceError, ParameterError
+from .transport import (
+    as_plan,
+    basis_holds,
+    basis_order,
+    checked,
+    exceeds,
+    retailer_utility,
+    supplier_utility,
+)
 
 _BR_GAP_TOL = 1e-12    # relative gap at which a best response is certified
 _BR_MAX_EVALS = 120
@@ -40,6 +48,11 @@ class PlanAgent:
     at a feasible plan.  ``total_cap`` bounds ``sum(plan)`` (``math.inf`` =
     unbounded); it doubles as the feasible set used by projection and best
     responses.
+
+    An agent that can tell when a cut stays exact also returns a third item,
+    the cut's certificate, and exposes ``holds(certificate, plan)``: whether
+    its utility at ``plan`` equals that cut's value there.  Best responses
+    keep each certificate with its cut and ask before they evaluate.
     """
 
     dim = 0
@@ -57,29 +70,58 @@ class RetailerAgent(PlanAgent):
 
     The order book never exceeds total demand: supplying more than can be
     sold has zero retail value, so plans above that total are never proposed.
+    A cut's certificate is the basis of the transport solve behind it.
     """
 
     def __init__(self, spec):
         self.spec = spec
         self.dim = spec.n_inbound
         self.total_cap = float(spec.demand.sum())
+        self._demand = spec.demand.tolist()
 
     def evaluate(self, plan):
         ev = retailer_utility(self.spec, plan)
-        return ev.value, ev.supergradient
+        return ev.value, ev.supergradient, basis_order(ev.transport.basis)
+
+    def holds(self, certificate, plan):
+        """Whether the basis ``certificate`` is still optimal at ``plan``;
+        a plan that :func:`~coplan.transport.as_plan` rejects is not."""
+        x = _valid(plan, self.dim)
+        return x is not None and basis_holds(certificate, x.tolist(), self._demand, slack=True)
 
 
 class SupplierAgent(PlanAgent):
-    """Supplier utility as a consensus agent, capped at total source capacity."""
+    """Supplier utility as a consensus agent, capped at total source capacity.
+    A cut's certificate is the basis of the transport solve behind it, or
+    None for a supplier without sources."""
 
     def __init__(self, spec):
         self.spec = spec
         self.dim = spec.n_inbound
         self.total_cap = spec.total_capacity
+        self._capacities = spec.capacities.tolist()
 
     def evaluate(self, plan):
         ev = supplier_utility(self.spec, plan)
-        return ev.value, ev.supergradient
+        basis = ev.transport.basis
+        return ev.value, ev.supergradient, None if basis is None else basis_order(basis)
+
+    def holds(self, certificate, plan):
+        """Whether the basis ``certificate`` is still optimal at ``plan``; a
+        plan past capacity, or one that :func:`~coplan.transport.as_plan`
+        rejects, is not."""
+        x = _valid(plan, self.dim)
+        return (x is not None and not exceeds(x.sum(), self.spec.total_capacity)
+                and basis_holds(certificate, self._capacities, x.tolist(), slack=False))
+
+
+def _valid(plan, dim):
+    """``plan`` as :func:`~coplan.transport.as_plan` returns it, or None
+    where it raises."""
+    try:
+        return as_plan(plan, dim)
+    except CoplanError:
+        return None
 
 
 @dataclass(frozen=True)
@@ -106,10 +148,15 @@ def best_response(agent, prices, z, rho, cuts=None):
     extends in place.  A cut of a fixed utility overestimates it whatever the
     query, so a nonempty set starts the loop at its model's prox maximizer,
     whose value is already a bound, and the next query reuses what this one
-    learned (a proximal bundle; Kiwiel, Math. Programming 46, 1990).  The
-    answer is always a point evaluated in this call.  Agents with special
-    structure may expose an exact ``prox_respond``, which takes precedence
-    over the cutting-plane loop and answers without an evaluation.
+    learned (a proximal bundle; Kiwiel, Math. Programming 46, 1990).  Before
+    it evaluates a master point, the loop asks an agent with ``holds`` (see
+    :class:`PlanAgent`) whether the certificate of the cut lowest there
+    still holds: then the model is exact at that point, which maximizes it,
+    and the point is the answer without an evaluation, as if the evaluation
+    had returned a held cut.  The answer is always a point evaluated in this
+    call, or certified by a kept cut.  Agents with special structure may
+    expose an exact ``prox_respond``, which takes precedence over the
+    cutting-plane loop and answers without an evaluation.
     """
     prices = np.asarray(prices, dtype=float)
     z = np.asarray(z, dtype=float)
@@ -129,6 +176,7 @@ def best_response(agent, prices, z, rho, cuts=None):
     shift = float(prices @ prices) / (2.0 * rho) - float(prices @ z)
     if cuts is None:
         cuts = CutSet()
+    holds = getattr(agent, "holds", None)
     if len(cuts):
         x, model_val = maximize_cut_model(cuts, center, rho,
                                           total_cap=agent.total_cap)
@@ -139,13 +187,18 @@ def best_response(agent, prices, z, rho, cuts=None):
     best_val = -np.inf
     size = 0.0  # largest |u(x)| evaluated so far
     for k in range(_BR_MAX_EVALS):
-        value, grad = agent.evaluate(x)
+        if holds is not None and len(cuts):  # x is the master's maximizer
+            value, certificate = cuts.lowest(x)
+            if certificate is not None and holds(certificate, x):
+                objective = value - prices @ x - 0.5 * rho * float(np.sum((x - z) ** 2))
+                return BestResponse(plan=x, gap=max(upper - objective, 0.0), evaluations=k)
+        value, grad, *certificate = agent.evaluate(x)
         objective = value - prices @ x - 0.5 * rho * float(np.sum((x - z) ** 2))
         if objective > best_val:
             best_val = objective
             best_x = x
         size = max(size, abs(value))
-        if not cuts.add(value - float(grad @ x), grad):
+        if not cuts.add(value - float(grad @ x), grad, *certificate):
             # the model already holds this cut, so it is exact at x, which
             # maximizes it: x is optimal up to the master's own gap, which
             # no further cut can close

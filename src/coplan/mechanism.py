@@ -168,7 +168,13 @@ def _best_confirmation(supplier, order):
 
 
 class BoostedRetailerAgent(RetailerAgent):
-    """Retailer agent whose reported utility carries the fee-policy bias."""
+    """Retailer agent whose reported utility carries the fee-policy bias.
+
+    The scale and the flat fee keep the transport basis's cut exact wherever
+    the basis holds.  A deviation charge adds kinks at the reference, so its
+    cut's certificate also carries the side of the reference each entry lies
+    on (above, below, or within 1e-9 of it), and holds only on the same sides.
+    """
 
     def __init__(self, spec, fee, standalone_plan=None):
         super().__init__(spec)
@@ -176,18 +182,29 @@ class BoostedRetailerAgent(RetailerAgent):
         self.reference = None if standalone_plan is None else np.asarray(standalone_plan, float)
 
     def evaluate(self, plan):
-        value, grad = super().evaluate(plan)
+        value, grad, basis = super().evaluate(plan)
         scale = self.fee.report_scale
         value = scale * value + self.fee.flat_fee
         grad = scale * grad
-        if self.fee.variant == "linear_deviation":
-            value -= deviation_penalty(plan, self.reference, self.fee.over_rate,
-                                       self.fee.under_rate)
-            delta = np.asarray(plan, dtype=float) - self.reference
-            pen_grad = np.where(delta > _TOL, self.fee.over_rate,
-                                np.where(delta < -_TOL, -self.fee.under_rate, 0.0))
-            grad = grad - pen_grad
-        return value, grad
+        if self.fee.variant != "linear_deviation":
+            return value, grad, basis
+        value -= deviation_penalty(plan, self.reference, self.fee.over_rate,
+                                   self.fee.under_rate)
+        sides = self._sides(plan)
+        grad = grad - np.where(sides > 0, self.fee.over_rate,
+                               np.where(sides < 0, -self.fee.under_rate, 0.0))
+        return value, grad, (basis, sides.tobytes())
+
+    def holds(self, certificate, plan):
+        if self.fee.variant != "linear_deviation":
+            return super().holds(certificate, plan)
+        basis, sides = certificate
+        return super().holds(basis, plan) and self._sides(plan).tobytes() == sides
+
+    def _sides(self, plan):
+        """Per entry, 1 above the reference, -1 below it, 0 within 1e-9 of it."""
+        delta = np.asarray(plan, dtype=float) - self.reference
+        return (delta > _TOL).astype(np.int8) - (delta < -_TOL).astype(np.int8)
 
 
 def efficient_plan(retailer, supplier, fee=None, status_quo=None):

@@ -70,7 +70,9 @@ class Message:
 
 
 def encode(msg):
-    """One line of canonical JSON (byte-stable for equal messages)."""
+    """One line of canonical JSON (byte-stable for equal messages).  A NaN or
+    infinite number raises :class:`ParameterError` naming its field, as the
+    input rule (:func:`~coplan.transport.checked`) words it."""
     if msg.kind not in KINDS:
         raise ProtocolError(f"unknown message kind {msg.kind!r}")
     doc = {"kind": msg.kind, "session": msg.session}
@@ -81,7 +83,14 @@ def encode(msg):
         if name in _VECTOR_FIELDS:
             value = np.asarray(value, dtype=float).tolist()
         doc[name] = value
-    return json.dumps(doc, separators=(",", ":"), allow_nan=False).encode("ascii") + b"\n"
+    try:
+        line = json.dumps(doc, separators=(",", ":"), allow_nan=False)
+    except ValueError:  # json's "Out of range float values": find the field
+        for name in ("rho", "fee", *_VECTOR_FIELDS):
+            if name in doc:
+                checked(doc[name], name)
+        raise
+    return line.encode("ascii") + b"\n"
 
 
 def _reject_constant(token):
@@ -218,6 +227,10 @@ class AgentServer:
     """
 
     def __init__(self, agent, reservation=-np.inf, host=None, port=None):
+        if reservation != reservation:
+            # -inf (take any deal) and finite values are reservations; NaN
+            # would make every offer fail the participation test
+            raise ParameterError("reservation must not be NaN")
         source = ""
         if host is None or port is None:
             env_host, env_port = default_listen_address()
@@ -362,7 +375,7 @@ class RemoteAgent:
         :class:`AgentTimeoutError`; a response echoing the wrong iteration, or
         a connection closed or reset, raises :class:`ProtocolError`."""
         reply = self._exchange(Message("query", self.session, payload={
-            "iteration": int(iteration), "dim": self.dim, "rho": float(rho),
+            "iteration": int(iteration), "dim": self.dim, "rho": checked(rho, "rho"),
             "prices": prices, "z": z}))
         if reply.kind != "response":
             raise ProtocolError(f"expected response, got {reply.kind}")
@@ -375,8 +388,8 @@ class RemoteAgent:
         return reply.payload["plan"]
 
     def offer(self, plan, fee):
-        reply = self._exchange(Message("offer", self.session,
-                                       payload={"dim": self.dim, "plan": plan, "fee": float(fee)}))
+        reply = self._exchange(Message("offer", self.session, payload={
+            "dim": self.dim, "plan": plan, "fee": checked(fee, "fee")}))
         if reply.kind not in ("accept", "decline"):
             raise ProtocolError(f"expected accept/decline, got {reply.kind}")
         return reply.kind == "accept"

@@ -21,6 +21,12 @@ shadow prices for the inequality-form problem:
 
 An optional virtual slack source with a per-unit penalty makes short problems
 feasible (lost-sales style).
+
+A solution carries its final basis tree.  The costs fix the tree's duals, so
+for new bounds and requirements under the same costs the tree is still
+optimal whenever its own flows stay nonnegative, which one pass from its
+leaves decides (:func:`basis_holds`; Ahuja, Magnanti & Orlin, *Network
+Flows*, 1993, ch. 11).
 """
 
 import math
@@ -103,6 +109,9 @@ class TransportSolution:
     slack_flow: np.ndarray    # per-column units drawn from the virtual slack source
     dual_objective: float = field(default=0.0, repr=False)
     pivots: int = field(default=0, repr=False)  # simplex pivots from the initial basis
+    # final basis tree as adjacency sets over the balanced tableau: rows (then
+    # the slack row), then columns (then the disposal column); None without one
+    basis: list | None = field(default=None, repr=False, compare=False)
 
 
 def _northwest_corner(supply, demand):
@@ -293,7 +302,43 @@ def solve_transport(costs, row_bounds, col_requirements, slack_penalty=None):
         slack_flow=slack_flow,
         dual_objective=dual_objective,
         pivots=pivots,
+        basis=tree,
     )
+
+
+def basis_order(tree):
+    """The basis ``tree`` of a solve as (node, parent) pairs, leaves first:
+    hung from node 0, each node comes before its parent, so a pass in this
+    order meets every node with only its parent's arc left."""
+    parent = [-1] * len(tree)
+    order = [0]
+    for v in order:  # grows as it goes: breadth first
+        for x in tree[v]:
+            if x != parent[v]:
+                parent[x] = v
+                order.append(x)
+    return tuple((v, parent[v]) for v in reversed(order[1:]))
+
+
+def basis_holds(order, row_bounds, col_requirements, slack):
+    """Whether a solve's basis, as :func:`basis_order` gives it, is still
+    optimal for ``row_bounds`` and ``col_requirements`` (lists of floats) at
+    the solve's costs, with its slack row if ``slack``: whether every flow
+    on the tree is at least -1e-12.  The costs alone fix the tree's duals,
+    which the solve left feasible, so a tree whose flows are feasible is
+    optimal.  One pass from the leaves: a node's net supply is the flow on
+    its parent arc."""
+    total_req = sum(col_requirements)
+    net = row_bounds + [total_req] if slack else list(row_bounds)
+    rows = len(net)
+    net.append(-max(sum(net) - total_req, 0.0))  # the disposal column, kept last
+    net[rows:rows] = [-d for d in col_requirements]
+    for v, p in order:
+        f = net[v]
+        if (f if v < rows else -f) < -_EPS:
+            return False
+        net[p] += f
+    return True
 
 
 @dataclass(frozen=True)

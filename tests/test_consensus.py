@@ -13,7 +13,7 @@ from conftest import (
     random_bilateral,
     solve_joint_lp,
 )
-from coplan import consensus
+from coplan import consensus, mechanism
 from coplan._qp import CutSet, maximize_cut_model
 from coplan.consensus import (
     ConsensusConfig,
@@ -25,8 +25,9 @@ from coplan.consensus import (
     coordinator_step,
     run_consensus,
 )
-from coplan.errors import DimensionError, NonConvergenceError, ParameterError
-from coplan.mechanism import standalone_plans
+from coplan.errors import DimensionError, InfeasibleError, NonConvergenceError, ParameterError
+from coplan.mechanism import FeePolicy, standalone_plans
+from coplan import transport
 from coplan.transport import retailer_utility, supplier_utility
 
 
@@ -450,3 +451,87 @@ def test_run_consensus_checks_its_agents_and_its_start(toy_retailer, toy_supplie
         run_consensus(agents, ConsensusConfig(initial_plan=[1.0, 2.0, 3.0]))
     with pytest.raises(DimensionError, match="initial prices have the wrong shape"):
         run_consensus(agents, ConsensusConfig(initial_prices=np.zeros((3, 2))))
+
+
+FEES = [FeePolicy.none(), FeePolicy.additive(30.0), FeePolicy.multiplicative(0.2),
+        FeePolicy.roi(0.2), FeePolicy.linear_deviation(5.0, 2.0)]
+
+
+@pytest.mark.parametrize("fee", FEES, ids=lambda fee: fee.variant)
+def test_a_certified_answer_is_an_uncertified_one_within_the_certificate(toy_retailer,
+                                                                         toy_supplier, fee,
+                                                                         monkeypatch):
+    # each answer of a consensus run, whose agents certify kept cuts, against
+    # a cold answer of the same agent wrapped so that it cannot certify: each
+    # objective is at most the other's bound, and most answers are certified
+    real = consensus.best_response
+    answers = []
+
+    def compared(agent, prices, z, rho, cuts=None):
+        warm = real(agent, prices, z, rho, cuts=cuts)
+        cold = real(Counting(agent), prices, z, rho)
+        ours = prox_objective(agent, warm.plan, prices, z, rho)
+        theirs = prox_objective(agent, cold.plan, prices, z, rho)
+        scale = 1.0 + abs(ours) + abs(agent.evaluate(warm.plan)[0])
+        assert warm.gap <= 1e-12 * scale
+        assert theirs - ours <= warm.gap + 1e-12 * scale
+        assert ours - theirs <= cold.gap + 1e-12 * scale
+        answers.append(warm.evaluations)
+        return warm
+
+    monkeypatch.setattr(consensus, "best_response", compared)
+    rng = np.random.default_rng(3)
+    pairs = [(toy_retailer, toy_supplier)]
+    pairs += [random_bilateral(rng, max_nodes=3, cover_demand=True) for _ in range(2)]
+    for retailer, supplier in pairs:
+        mechanism.consensus_plan(retailer, supplier, fee=fee)
+    assert answers.count(0) >= 0.8 * len(answers)
+
+
+def test_a_kept_basis_answers_most_best_responses(toy_retailer, toy_supplier, monkeypatch):
+    # pins the certificate check on: with it, toy and these pairs make
+    # 0.01-0.04 evaluations per best response; without it, at least one
+    real = consensus.best_response
+    evaluations = []
+
+    def counted(*args, **kwargs):
+        br = real(*args, **kwargs)
+        evaluations.append(br.evaluations)
+        return br
+
+    monkeypatch.setattr(consensus, "best_response", counted)
+    rng = np.random.default_rng(0)
+    pairs = [(toy_retailer, toy_supplier)]
+    pairs += [random_bilateral(rng, max_nodes=3, cover_demand=True) for _ in range(6)]
+    for retailer, supplier in pairs:
+        mechanism.consensus_plan(retailer, supplier)
+    assert sum(evaluations) <= 0.2 * len(evaluations)
+    assert evaluations.count(0) >= 0.8 * len(evaluations)
+
+
+def test_a_plan_the_utility_rejects_is_never_certified(toy_supplier, toy_retailer):
+    # a hit must not hide a fault: past capacity, or with a negative entry,
+    # the basis is not asked and the cold evaluation raises as before
+    supplier = SupplierAgent(toy_supplier)
+    _, _, basis = supplier.evaluate([50.0, 60.0])   # at capacity, 110
+    past = [50.0, 60.001]
+    assert transport.basis_holds(basis, toy_supplier.capacities.tolist(), past, slack=False)
+    assert not supplier.holds(basis, past)
+    with pytest.raises(InfeasibleError):
+        supplier.evaluate(past)
+    retailer = RetailerAgent(toy_retailer)
+    _, _, basis = retailer.evaluate([40.0, 60.0])
+    assert retailer.holds(basis, [40.0, 60.0])
+    for agent, cert in ((retailer, basis), (supplier, supplier.evaluate([40.0, 60.0])[2])):
+        assert not agent.holds(cert, [-1.0, 60.0])
+        with pytest.raises(ParameterError):
+            agent.evaluate([-1.0, 60.0])
+
+    # and a best response whose master, uncapped, lands past capacity
+    # evaluates there and raises
+    supplier.total_cap = math.inf
+    cuts, x = CutSet(), np.array([50.0, 60.0])
+    value, grad, cert = supplier.evaluate(x)
+    cuts.add(value - float(grad @ x), grad, cert)
+    with pytest.raises(InfeasibleError):
+        best_response(supplier, np.full(2, -1000.0), x, 1.0, cuts=cuts)

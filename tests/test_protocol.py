@@ -540,3 +540,51 @@ def test_encode_refuses_an_unknown_kind_or_a_missing_field():
         encode(Message("warp", "s1"))
     with pytest.raises(ProtocolError, match="hello message is missing field 'dim'"):
         encode(Message("hello", "s1"))
+
+
+@pytest.mark.parametrize("call, field", [
+    (lambda remote: remote.offer([10.0, 90.0], float("nan")), "fee"),
+    (lambda remote: remote.offer([10.0, float("inf")], 0.0), "plan"),
+    (lambda remote: remote.respond(np.zeros(2), np.array([10.0, 90.0]), float("nan"), 1), "rho"),
+    (lambda remote: remote.respond(np.array([float("inf"), 0.0]), np.array([10.0, 90.0]), 1.0, 1),
+     "prices"),
+    (lambda remote: remote.respond(np.zeros(2), np.array([10.0, -float("inf")]), 1.0, 1), "z"),
+], ids=["offer-fee", "offer-plan", "query-rho", "query-prices", "query-z"])
+def test_a_non_finite_number_is_refused_before_it_is_sent(toy_supplier, call, field):
+    # regression: json.dumps(allow_nan=False) raised ValueError, a traceback
+    # and not a CoplanError
+    with protocol.served([SupplierAgent(toy_supplier)]) as (remote,):
+        with pytest.raises(ParameterError, match=f"^{field} must be finite$"):
+            call(remote)
+        # nothing was sent, so the session still answers
+        assert remote.offer([10.0, 90.0], 0.0) is True
+        got = remote.respond(np.zeros(2), np.array([10.0, 90.0]), 1.0, 1)
+    want = best_response(SupplierAgent(toy_supplier), np.zeros(2), np.array([10.0, 90.0]), 1.0)
+    assert np.array_equal(got, want.plan)
+
+
+def test_encode_names_the_non_finite_field():
+    with pytest.raises(ParameterError, match="^fee must be finite$"):
+        encode(Message("offer", "s1", payload={"dim": 1, "plan": [1.0], "fee": float("-inf")}))
+    with pytest.raises(ParameterError, match="^plan must be finite$"):
+        encode(Message("response", "s1", payload={"iteration": 1, "dim": 1,
+                                                  "plan": np.array([np.nan])}))
+
+
+def test_a_nan_reservation_is_refused_before_any_server_starts(toy_supplier, monkeypatch):
+    # regression: participates() compared against NaN, so the server
+    # declined every offer
+    started = []
+    monkeypatch.setattr(AgentServer, "start", lambda self: started.append(self) or self)
+    with pytest.raises(ParameterError, match="reservation must not be NaN"):
+        with protocol.served([SupplierAgent(toy_supplier)], reservation=float("nan")):
+            pass
+    assert started == []
+    with pytest.raises(ParameterError, match="reservation must not be NaN"):
+        AgentServer(SupplierAgent(toy_supplier), reservation=np.nan)
+
+
+@pytest.mark.parametrize("reservation, taken", [(-np.inf, True), (0.0, True), (1e9, False)])
+def test_an_infinite_or_finite_reservation_stays_valid(toy_supplier, reservation, taken):
+    with protocol.served([SupplierAgent(toy_supplier)], reservation=reservation) as (remote,):
+        assert remote.offer([10.0, 90.0], 0.0) is taken

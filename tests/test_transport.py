@@ -4,11 +4,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import enumerate_min_cost, one_sided_diffs
+from conftest import enumerate_min_cost, one_sided_diffs, random_bilateral
 from coplan.errors import DimensionError, InfeasibleError, ParameterError
 from coplan.transport import (
+    _EPS,
     RetailerSpec,
     SupplierSpec,
+    basis_holds,
+    basis_order,
     retailer_utility,
     solve_transport,
     supplier_utility,
@@ -373,3 +376,71 @@ if __name__ == "__main__":
         path.write_text("".join(json.dumps({**case, "outcome": _outcome(case)},
                                            separators=(",", ":")) + "\n"
                                 for case in cases))
+
+
+def tree_flows(basis, costs, supply, demand):
+    """Flows on the arcs of a basis tree at the balanced tableau's ``supply``
+    and ``demand``, by least squares on its incidence matrix (exact for a
+    tree), and their cost at the tableau's ``costs``."""
+    rows = len(supply)
+    arcs = [(i, j - rows) for i in range(rows) for j in basis[i]]
+    incidence = np.zeros((len(basis), len(arcs)))
+    for k, (i, j) in enumerate(arcs):
+        incidence[i, k], incidence[rows + j, k] = 1.0, -1.0
+    net = np.concatenate([supply, -np.asarray(demand, dtype=float)])
+    flows = np.linalg.lstsq(incidence, net, rcond=None)[0]
+    return flows, sum(costs[i, j] * f for (i, j), f in zip(arcs, flows))
+
+
+def test_a_kept_basis_holds_exactly_where_its_flows_stay_feasible():
+    # integer data, so ties and degenerate trees occur.  Where the tree kept
+    # from a solve at x0 holds at x1, it is optimal there: a cold solve has
+    # its cost, and the cut it gave is exact at x1 and still overestimates
+    # the utility elsewhere.  Where it does not hold, a tree flow is negative
+    rng = np.random.default_rng(27)
+    seen = {True: 0, False: 0}
+    for _ in range(150):
+        retailer, supplier = random_bilateral(rng, max_nodes=int(rng.integers(3, 6)),
+                                              cover_demand=True)
+        cap = supplier.total_capacity
+
+        def draw(near=None):
+            x = rng.integers(0, 60, size=retailer.n_inbound).astype(float)
+            if near is not None:
+                x = np.maximum(near + rng.integers(-3, 4, size=near.size), 0.0)
+            return np.floor(x * cap / x.sum()) if x.sum() > cap else x
+
+        for utility, spec in ((retailer_utility, retailer), (supplier_utility, supplier)):
+            x0 = draw()
+            x1 = draw(x0 if rng.random() < 0.7 else None)
+            ev0 = utility(spec, x0)
+            basis = ev0.transport.basis
+            costs = np.zeros((spec.arc_costs.shape[0], spec.arc_costs.shape[1] + 1))
+            costs[:, :-1] = spec.arc_costs
+            if utility is retailer_utility:
+                held = basis_holds(basis_order(basis), x1.tolist(), spec.demand.tolist(),
+                                   slack=True)
+                costs = np.vstack([costs, [spec.lost_sales_penalty] * costs.shape[1]])
+                costs[-1, -1] = 0.0
+                flows, cost = tree_flows(basis, costs, [*x1, spec.demand.sum()],
+                                         [*spec.demand, x1.sum()])
+            else:
+                held = basis_holds(basis_order(basis), spec.capacities.tolist(), x1.tolist(),
+                                   slack=False)
+                flows, cost = tree_flows(basis, costs, spec.capacities, [*x1, cap - x1.sum()])
+            seen[held] += 1
+            if not held:
+                assert flows.min() < -_EPS
+                continue
+            assert flows.min() >= -1e-9
+            cold = utility(spec, x1)
+            assert abs(cost - cold.transport.objective) <= 1e-9 * max(1.0, abs(cost))
+
+            def cut(y):
+                return ev0.value + float(ev0.supergradient @ (y - x0))
+
+            assert abs(cut(x1) - cold.value) <= 1e-9 * max(1.0, abs(cold.value))
+            for _ in range(3):
+                y = draw()
+                assert utility(spec, y).value <= cut(y) + 1e-9 * max(1.0, abs(cut(y)))
+    assert min(seen.values()) >= 30, seen

@@ -19,7 +19,6 @@ from .errors import (
     ParseError,
     ProtocolError,
     SchemaError,
-    StateError,
 )
 from .mechanism import (
     FeePolicy,

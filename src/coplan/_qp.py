@@ -233,12 +233,17 @@ def maximize_cut_model(cuts, center, rho, total_cap):
             free = grown
             y = np.concatenate((y, (0.0,)))
         else:
-            # Column j depends (at least numerically) on the free columns:
-            # the dual is linear along d = (d_free, 1) with A[:, free] @
-            # d_free = -A[:, j], and falls at rate r[j].  Go until a free
-            # variable hits zero (a component of d below rounding blocks
-            # nothing), then let j take its place.
+            # Either column j depends (at least numerically) on the free
+            # columns, or the free set's optimum with j gave j no weight.
+            # In the first case the dual is linear along d = (d_free, 1)
+            # with A[:, free] @ d_free = -A[:, j], and falls at rate r[j]:
+            # go until a free variable hits zero (a component of d below
+            # rounding blocks nothing), then let j take its place.  In the
+            # second, j looked violated only through rounding in x, and a
+            # step along d would leave the dual's simplex: x is the answer.
             d = np.linalg.lstsq(A[:, free], -A[:, j], rcond=None)[0]
+            if np.abs(A[:, free] @ d + A[:, j]).max() > 1e-9 * norms[j]:
+                break
             blocking = d < -1e-12 * np.abs(d).max()
             if not blocking.any():
                 break

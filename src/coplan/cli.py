@@ -39,7 +39,7 @@ def build_parser():
     parser.add_argument("--trace", action="store_true",
                         help="stream per-iteration consensus records to stderr")
     parser.add_argument("--seed", type=int, default=None,
-                        help="seed recorded in the report and used by randomized demos")
+                        help="seed recorded in the report")
     parser.add_argument("--json", metavar="PATH", default=None,
                         help="also write the machine-readable report to PATH")
     return parser

@@ -252,7 +252,8 @@ class ConsensusConfig:
         object.__setattr__(self, "rho", checked(self.rho, "rho", message=_RHO_RULE))
         for name in ("eps_abs", "eps_rel", "initial_plan", "initial_prices"):
             if getattr(self, name) is not None:
-                object.__setattr__(self, name, checked(getattr(self, name), name))
+                object.__setattr__(self, name, checked(getattr(self, name), name,
+                                                       nonnegative=name.startswith("eps")))
         if (isinstance(self.max_iters, bool) or not isinstance(self.max_iters, (int, np.integer))
                 or self.max_iters < 1):
             raise ParameterError("max_iters must be a positive integer")

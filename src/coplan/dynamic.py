@@ -3,10 +3,12 @@
 A retailer runs an order-up-to policy against weekly forecasts; coordination
 lets the order stream deviate from that ideal policy to pick up supplier-side
 gains (production smoothing), and each week the supplier compensates the
-retailer for the certainty-equivalent utility the deviation costs it.  Two
-commitment structures are supported: ``none`` re-plans everything weekly and
-pays for the one issued order, ``full-horizon`` turns each agreed window into
-a binding plan of record and pays for plan updates.
+retailer for the certainty-equivalent utility the deviation costs it: its
+utility under the orders it would place without the agreement, less its
+utility under the orders the agreement binds it to.  Two commitment
+structures are supported: ``none`` re-plans everything weekly and binds only
+the one issued order, ``full-horizon`` turns each agreed window into a
+binding plan of record and pays for plan updates.
 
 Flow utilities are deterministic given the forecasts (certainty-equivalent):
 
@@ -26,7 +28,7 @@ import numpy as np
 
 from ._qp import CutSet, maximize_cut_model
 from .consensus import ConsensusConfig, PlanAgent, run_consensus
-from .errors import DimensionError, ParameterError, StateError
+from .errors import DimensionError, ParameterError
 from .transport import checked
 
 MODES = ("none", "full-horizon")
@@ -50,7 +52,6 @@ class InventoryModel:
     supplier_margin: float = 3.0
     smoothing_cost: float = 0.5       # $ per squared unit of week-over-week change
     horizon: int = 6
-    target_inventory: np.ndarray | None = None  # order-up-to level, default = forecast
 
     def __post_init__(self):
         f = np.asarray(checked(self.forecasts, "forecasts", nonnegative=True), dtype=float)
@@ -64,12 +65,7 @@ class InventoryModel:
             raise ParameterError("planning horizon must be a whole number of weeks")
         if self.horizon < 1:
             raise ParameterError("planning horizon must be at least one week")
-        tip = f if self.target_inventory is None else self.target_inventory
-        tip = np.array(checked(tip, "target_inventory", nonnegative=True), dtype=float)
-        if tip.shape != f.shape:
-            raise DimensionError("target_inventory must match the forecasts")
         object.__setattr__(self, "forecasts", f)
-        object.__setattr__(self, "target_inventory", tip)
 
     @property
     def n_weeks(self):
@@ -99,30 +95,10 @@ class RollingState:
     mode: str
 
 
-def jit_policy(model, state, pinned_first=None):
-    """Order-up-to-target sequence for the current window.
-
-    With ``pinned_first`` the first order is fixed and the remaining weeks
-    re-optimize conditional on it (still order-up-to).  With the default
-    target (the forecast itself) the free sequence maximizes total retailer
-    flow utility.
-    """
-    return _order_up_to(model, state, () if pinned_first is None else (float(pinned_first),))
-
-
-def _order_up_to(model, state, prefix):
-    """Window orders that keep the fixed ``prefix`` and fill every later week
-    up to its target inventory."""
-    window = model.window(state.week)
-    orders = np.zeros(window.size)
-    on = state.on_hand
-    for idx, t in enumerate(window):
-        if idx < len(prefix):
-            orders[idx] = prefix[idx]
-        else:
-            orders[idx] = max(model.target_inventory[t] - on, 0.0)
-        on = max(on + orders[idx] - model.forecasts[t], 0.0)
-    return orders
+def jit_policy(model, state):
+    """Order-up-to sequence for the current window: each week filled up to
+    its forecast, which maximizes the retailer's total flow utility."""
+    return _roll(model, state)[0]
 
 
 def _binding_prefix(model, state):
@@ -141,13 +117,15 @@ def _window_orders(model, orders, state):
     return orders
 
 
-def _retailer_roll(model, orders, state):
-    """Roll inventory through the window at forecast demand: per-week retailer
-    flow utility and a supergradient of its total in the orders."""
-    n = orders.size
+def _roll(model, state, prefix=()):
+    """Roll inventory through the window at forecast demand.  Return the
+    window's orders (the committed ``prefix``, then each later week filled up
+    to its forecast), the retailer's weekly flow utility under them and a
+    supergradient of its total in the orders."""
+    n = model.window(state.week).size
     # python floats round exactly like numpy's and step faster in the loop
     f = model.forecasts[state.week:state.week + n].tolist()
-    x = orders.tolist()
+    x = np.asarray(prefix, dtype=float).tolist()
     m, h, p = model.retailer_margin, model.holding_cost, model.lost_sales_cost
     weekly = np.zeros(n)
     on = state.on_hand
@@ -155,6 +133,8 @@ def _retailer_roll(model, orders, state):
     on_grad = np.zeros(n)
     hold_grad = np.zeros(n)
     for idx in range(n):
+        if idx == len(x):
+            x.append(max(f[idx] - on, 0.0))
         available = on + x[idx]
         if available - f[idx] > 0.0:
             on = available - f[idx]
@@ -167,7 +147,7 @@ def _retailer_roll(model, orders, state):
         weekly[idx] = m * sales - h * on - p * (f[idx] - sales)
         hold_grad += h * on_grad
     grad = (m + p) * np.ones(n) - (m + p) * on_grad - hold_grad
-    return weekly, grad
+    return np.array(x), weekly, grad
 
 
 def _retailer_pieces(model, state, prefix):
@@ -229,7 +209,7 @@ def _supplier_weeks(model, orders, state):
 def retailer_flow_utility(model, orders, state):
     """Per-week retailer flow utility of an order sequence and its total,
     propagating inventory through the window at forecast demand."""
-    weekly, _ = _retailer_roll(model, _window_orders(model, orders, state), state)
+    _, weekly, _ = _roll(model, state, _window_orders(model, orders, state))
     return weekly, float(weekly.sum())
 
 
@@ -283,7 +263,7 @@ class DynamicRetailerAgent(_WindowAgent):
             self.prox_respond = None
 
     def evaluate(self, plan):
-        weekly, grad = _retailer_roll(self.model, self._orders(plan), self.state)
+        _, weekly, grad = _roll(self.model, self.state, self._orders(plan))
         return float(weekly.sum()), grad[self.prefix.size:]
 
     def prox_respond(self, prices, z, rho):
@@ -416,32 +396,20 @@ def coordinated_plan(model, state, warm_plan=None, warm_prices=None):
 def commitment_baseline(model, state):
     """No-coordination reference for the current window: the binding plan of
     record (if any) extended week by week with order-up-to fills."""
-    return _order_up_to(model, state, _binding_prefix(model, state))
+    return _roll(model, state, _binding_prefix(model, state))[0]
 
 
-def cbt_one_week(model, state, plan, jit_orders=None):
-    """Payment from the supplier to the retailer when only the first order of
-    the window is issued: the retailer's utility under its free order-up-to
-    plan minus its utility when the first order is pinned to the coordinated
-    one (later weeks re-optimized conditional on it)."""
-    plan = np.asarray(plan, dtype=float)
-    if jit_orders is None:
-        jit_orders = jit_policy(model, state)
-    pinned = jit_policy(model, state, pinned_first=plan[0])
-    _, free_total = retailer_flow_utility(model, jit_orders, state)
-    _, pinned_total = retailer_flow_utility(model, pinned, state)
-    return free_total - pinned_total
-
-
-def cbt_full_horizon(model, state, plan):
-    """Payment when the whole window is binding: the retailer's utility under
-    the commitment baseline minus under the agreed plan."""
-    if state.mode != "full-horizon":
-        raise StateError("full-horizon payment requires full-horizon commitment mode")
-    baseline = commitment_baseline(model, state)
-    _, base_total = retailer_flow_utility(model, baseline, state)
-    _, plan_total = retailer_flow_utility(model, plan, state)
-    return base_total - plan_total
+def cbt(model, state, plan):
+    """The week's cost-benefit transfer from the supplier to the retailer:
+    the retailer's utility under the commitment baseline less its utility
+    under the orders the agreement binds it to.  Under ``none`` only the
+    plan's first order binds, and later weeks fill up to forecast; under
+    ``full-horizon`` the whole plan binds."""
+    plan = _window_orders(model, plan, state)
+    bound = plan if state.mode == "full-horizon" else plan[:1]
+    _, base, _ = _roll(model, state, _binding_prefix(model, state))
+    _, agreed, _ = _roll(model, state, bound)
+    return float(base.sum()) - float(agreed.sum())
 
 
 @dataclass(frozen=True)
@@ -464,12 +432,8 @@ def roll_forward(model, state, realized_demand, plan):
     inventory with realized demand, and advance the state."""
     realized_demand = checked(realized_demand, "realized demand", nonnegative=True)
     plan = _window_orders(model, plan, state)
-    jit_orders = jit_policy(model, state)
-    if state.mode == "none":
-        cbt = cbt_one_week(model, state, plan, jit_orders)
-    else:
-        cbt = cbt_full_horizon(model, state, plan)
-
+    jit = jit_policy(model, state)
+    payment = cbt(model, state, plan)
     order = float(plan[0])
     available = state.on_hand + order
     sales = min(realized_demand, available)
@@ -480,11 +444,11 @@ def roll_forward(model, state, realized_demand, plan):
         realized_demand=realized_demand,
         sales=sales,
         end_inventory=end_inventory,
-        cbt=float(cbt),
-        cumulative_cbt=state.cumulative_cbt + float(cbt),
-        jit_orders=jit_orders,
+        cbt=payment,
+        cumulative_cbt=state.cumulative_cbt + payment,
+        jit_orders=jit,
         coordinated_orders=plan,
-        joint_total_jit=joint_flow_utility(model, jit_orders, state),
+        joint_total_jit=joint_flow_utility(model, jit, state),
         joint_total_plan=joint_flow_utility(model, plan, state),
     )
     new_state = RollingState(

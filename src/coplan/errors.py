@@ -21,10 +21,6 @@ class NonConvergenceError(CoplanError):
     """An iterative solver exhausted its iteration budget."""
 
 
-class StateError(CoplanError):
-    """An operation was invoked on a state that does not support it."""
-
-
 class SchemaError(CoplanError):
     """A scenario document violates the documented schema."""
 

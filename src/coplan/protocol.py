@@ -58,6 +58,13 @@ _FIELDS = {
     "bye": (),
 }
 _VECTOR_FIELDS = ("prices", "z", "plan")
+# what each other field holds, and its test: decode refuses a field that
+# fails it, and encode refuses to send one
+_COUNT = ("a nonnegative integer",
+          lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 0)
+_NUMBER = ("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool))
+_SCALARS = {"iteration": _COUNT, "dim": _COUNT, "rho": _NUMBER, "fee": _NUMBER,
+            "reason": ("a string", lambda v: isinstance(v, str))}
 _KEYS = {kind: {"kind", "session", *fields} for kind, fields in _FIELDS.items()}
 _NUMBERS = {int, float}
 
@@ -70,11 +77,15 @@ class Message:
 
 
 def encode(msg):
-    """One line of canonical JSON (byte-stable for equal messages).  A NaN or
-    infinite number raises :class:`ParameterError` naming its field, as the
-    input rule (:func:`~coplan.transport.checked`) words it."""
+    """One line of canonical JSON (byte-stable for equal messages).  A field
+    that :func:`decode` would refuse for its type raises
+    :class:`ParameterError` naming it ("dim must be a nonnegative integer"),
+    and so does a NaN or infinite number, as the input rule
+    (:func:`~coplan.transport.checked`) words it."""
     if msg.kind not in KINDS:
         raise ProtocolError(f"unknown message kind {msg.kind!r}")
+    if not isinstance(msg.session, str) or not msg.session:
+        raise ParameterError("session must be a nonempty string")
     doc = {"kind": msg.kind, "session": msg.session}
     for name in _FIELDS[msg.kind]:
         if name not in msg.payload:
@@ -82,14 +93,16 @@ def encode(msg):
         value = msg.payload[name]
         if name in _VECTOR_FIELDS:
             value = np.asarray(value, dtype=float).tolist()
+        elif not _SCALARS[name][1](value):
+            raise ParameterError(f"{name} must be {_SCALARS[name][0]}")
         doc[name] = value
     try:
         line = json.dumps(doc, separators=(",", ":"), allow_nan=False)
     except ValueError:  # json's "Out of range float values": find the field
+        # past the type tests, only these fields hold floats, so one raises
         for name in ("rho", "fee", *_VECTOR_FIELDS):
             if name in doc:
                 checked(doc[name], name)
-        raise
     return line.encode("ascii") + b"\n"
 
 
@@ -137,20 +150,17 @@ def decode(line):
     try:
         for name in _FIELDS[kind]:
             value = doc[name]
-            if name in ("iteration", "dim"):
-                if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-                    raise ParseError(f"{name} must be a nonnegative integer")
-            elif name in _VECTOR_FIELDS:
+            if name in _VECTOR_FIELDS:
                 # json gives numbers as exactly int or float (bool is neither)
                 if not isinstance(value, list) or not set(map(type, value)) <= _NUMBERS:
                     raise ParseError(f"{name} must be a list of numbers")
                 value = np.array(checked(value, name), dtype=float)
-            elif name in ("rho", "fee"):
-                if not isinstance(value, (int, float)) or isinstance(value, bool):
-                    raise ParseError(f"{name} must be a number")
-                value = checked(value, name)
-            elif name == "reason" and not isinstance(value, str):
-                raise ParseError("reason must be a string")
+            else:
+                what, holds = _SCALARS[name]
+                if not holds(value):
+                    raise ParseError(f"{name} must be {what}")
+                if name in ("rho", "fee"):
+                    value = checked(value, name)
             payload[name] = value
     except ParameterError:  # from checked: an integer too large for a float
         raise ParseError(f"non-finite number in {name}") from None
@@ -367,15 +377,17 @@ class RemoteAgent:
         self.timeout = timeout
         self.agent_id = f"agent-{RemoteAgent._counter}"
         self.session = f"session-{RemoteAgent._counter}"
+        hello = Message("hello", self.session, payload={"dim": dim})
+        encode(hello)  # a bad dim raises here, before any connection opens
         self._channel = _LineChannel(socket.create_connection(tuple(address), timeout=timeout))
-        self._channel.send(Message("hello", self.session, payload={"dim": dim}))
+        self._channel.send(hello)
 
     def respond(self, prices, z, rho, iteration):
         """Best response to one query at penalty ``rho``.  A silent agent raises
         :class:`AgentTimeoutError`; a response echoing the wrong iteration, or
         a connection closed or reset, raises :class:`ProtocolError`."""
         reply = self._exchange(Message("query", self.session, payload={
-            "iteration": int(iteration), "dim": self.dim, "rho": checked(rho, "rho"),
+            "iteration": iteration, "dim": self.dim, "rho": checked(rho, "rho"),
             "prices": prices, "z": z}))
         if reply.kind != "response":
             raise ProtocolError(f"expected response, got {reply.kind}")

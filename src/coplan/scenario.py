@@ -122,7 +122,6 @@ _DYNAMIC = {   # fills InventoryModel, and DynamicSettings for the fields that a
     "retailer_margin": ("retailer_margin", _number),
     "supplier_margin": ("supplier_margin", _number),
     "smoothing_cost": ("smoothing_cost", _number),
-    "target_inventory": ("target_inventory", _vector),
     "demand_path": ("demand_path", _vector, _NAMED),
     "initial_inventory": ("initial_inventory", _number, _NAMED),
 }

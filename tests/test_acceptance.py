@@ -10,8 +10,7 @@ from conftest import enumerate_min_cost, joint_utility, random_bilateral, solve_
 from coplan.consensus import ConsensusConfig, RetailerAgent, SupplierAgent, run_consensus
 from coplan.dynamic import (
     InventoryModel,
-    cbt_one_week,
-    jit_policy,
+    cbt,
     simulate,
 )
 from coplan.errors import ParseError
@@ -224,10 +223,18 @@ def test_acceptance_5_dynamic_cbt_suite():
                           - model.lost_sales_cost * (model.forecasts[t] - sold))
             return total
 
-        free = jit_policy(model, state)
-        pinned = jit_policy(model, state, pinned_first=plan[0])
-        expected = hand_rolled_total(free) - hand_rolled_total(pinned)
-        assert abs(cbt_one_week(model, state, plan) - expected) <= 1e-6
+        def order_up_to(prefix):
+            orders, on = list(prefix), state.on_hand
+            for t in range(3):
+                if t == len(orders):
+                    orders.append(max(model.forecasts[t] - on, 0.0))
+                on = max(on + orders[t] - model.forecasts[t], 0.0)
+            return orders
+
+        # free: every week filled up to forecast; pinned: the first order is
+        # the plan's, later weeks filled up to forecast after it
+        expected = hand_rolled_total(order_up_to([])) - hand_rolled_total(order_up_to([plan[0]]))
+        assert abs(cbt(model, state, plan) - expected) <= 1e-6
     _report(5, "rolling-horizon payments: nonnegative weekly transfers, joint "
                "dominance, zero post-commitment payments, formula oracle", started, 30.0)
 

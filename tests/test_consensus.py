@@ -440,6 +440,14 @@ def test_a_non_finite_consensus_number_is_a_parameter_error(field, value):
         ConsensusConfig(**{field: value})
 
 
+@pytest.mark.parametrize("field", ["eps_abs", "eps_rel"])
+def test_a_negative_consensus_tolerance_is_a_parameter_error(field):
+    # regression: a negative tolerance was taken, and no run could meet it
+    with pytest.raises(ParameterError, match=f"^{field} must be nonnegative$"):
+        ConsensusConfig(**{field: -1e-9})
+    assert getattr(ConsensusConfig(**{field: 0}), field) == 0.0
+
+
 def test_run_consensus_checks_its_agents_and_its_start(toy_retailer, toy_supplier):
     agents = [RetailerAgent(toy_retailer), SupplierAgent(toy_supplier)]
     with pytest.raises(ParameterError, match="at least one agent is required"):

@@ -13,8 +13,7 @@ from coplan.dynamic import (
     DynamicSupplierAgent,
     InventoryModel,
     RollingState,
-    cbt_full_horizon,
-    cbt_one_week,
+    cbt,
     commitment_baseline,
     coordinated_plan,
     jit_policy,
@@ -25,7 +24,7 @@ from coplan.dynamic import (
     supplier_flow_utility,
     _retailer_pieces,
 )
-from coplan.errors import ParameterError, StateError
+from coplan.errors import ParameterError
 
 
 def independent_retailer_total(model, orders, week, on_hand):
@@ -106,15 +105,6 @@ def test_jit_policy_maximizes_flow_utility():
             best = max(best, independent_retailer_total(model, np.asarray(orders, float),
                                                         0, state.on_hand))
         assert jit_total >= best - 1e-9
-
-
-def test_jit_policy_pinned_first_order():
-    model = small_model()
-    state = model.initial_state()
-    pinned = jit_policy(model, state, pinned_first=20.0)
-    assert pinned[0] == 20.0
-    # surplus carries: week 2 need is forecast minus the 12 units left over
-    assert pinned[1] == pytest.approx(max(12.0 - 12.0, 0.0))
 
 
 def test_flow_utility_trivial_cases():
@@ -203,7 +193,7 @@ def test_cbt_one_week_zero_when_plan_matches_jit():
     model = small_model()
     state = model.initial_state()
     jit = jit_policy(model, state)
-    assert cbt_one_week(model, state, jit) == pytest.approx(0.0, abs=1e-12)
+    assert cbt(model, state, jit) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_cbt_one_week_matches_direct_formula():
@@ -212,7 +202,7 @@ def test_cbt_one_week_matches_direct_formula():
     jit = jit_policy(model, state)
     plan = jit.copy()
     plan[0] += 5.0
-    got = cbt_one_week(model, state, plan)
+    got = cbt(model, state, plan)
     free = independent_retailer_total(model, jit, 0, 0.0)
     pinned = np.array([plan[0], max(10.0 - 5.0, 0.0)])
     conditioned = independent_retailer_total(model, pinned, 0, 0.0)
@@ -228,16 +218,14 @@ def test_cbt_one_week_never_negative_on_random_weeks():
                             lost_sales_cost=float(rng.uniform(2, 10)))
         state = model.initial_state(on_hand=float(rng.uniform(0, 5)))
         plan = rng.uniform(0, 15, size=3)
-        assert cbt_one_week(model, state, plan) >= -1e-6
+        assert cbt(model, state, plan) >= -1e-6
 
 
-def test_cbt_full_horizon_zero_for_jit_plan_and_mode_guard():
+def test_cbt_full_horizon_zero_for_jit_plan():
     model = small_model()
     state = model.initial_state(mode="full-horizon")
     jit = jit_policy(model, state)
-    assert cbt_full_horizon(model, state, jit) == pytest.approx(0.0, abs=1e-12)
-    with pytest.raises(StateError):
-        cbt_full_horizon(model, model.initial_state(mode="none"), jit)
+    assert cbt(model, state, jit) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_cbt_full_horizon_zero_when_plan_of_record_is_kept():
@@ -247,7 +235,43 @@ def test_cbt_full_horizon_zero_when_plan_of_record_is_kept():
                             plan=np.array([9.0, 11.0, 7.0]))
     baseline = commitment_baseline(model, state)
     assert np.allclose(baseline, [11.0, 7.0])
-    assert cbt_full_horizon(model, state, baseline) == 0.0
+    assert cbt(model, state, baseline) == 0.0
+
+
+def test_cbt_full_horizon_pays_for_a_changed_appended_week():
+    model = InventoryModel(forecasts=[6.0, 14.0, 3.0, 9.0], horizon=3)
+    state = model.initial_state(mode="full-horizon")
+    state, _ = roll_forward(model, state, realized_demand=8.0,
+                            plan=np.array([9.0, 11.0, 7.0]))
+    # 1 unit left; the plan of record [11, 7] ends week 3 with 4 units, so
+    # the retailer alone would order 9 - 4 = 5 in the appended week
+    baseline = np.array([11.0, 7.0, 5.0])
+    plan = np.array([11.0, 7.0, 8.0])
+    expected = (independent_retailer_total(model, baseline, 1, 1.0)
+                - independent_retailer_total(model, plan, 1, 1.0))
+    assert expected == 3.0   # 3 more units held at $1
+    assert cbt(model, state, plan) == pytest.approx(expected, abs=1e-12)
+    _, rec = roll_forward(model, state, realized_demand=14.0, plan=plan)
+    assert rec.cbt == pytest.approx(expected, abs=1e-12)
+
+    rng = np.random.default_rng(47)
+    for _ in range(50):
+        model = small_model(forecasts=rng.uniform(0, 15, size=4),
+                            holding_cost=float(rng.uniform(0.2, 2.0)),
+                            lost_sales_cost=float(rng.uniform(2.0, 10.0)))
+        state = model.initial_state(mode="full-horizon", on_hand=float(rng.uniform(0, 5)))
+        state, _ = roll_forward(model, state, float(rng.uniform(0, 15)),
+                                rng.uniform(0, 15, size=3))
+        committed = list(state.plan_of_record)
+        on = state.on_hand
+        for t, q in zip(range(1, 3), committed):
+            on = max(on + q - model.forecasts[t], 0.0)
+        baseline = np.array(committed + [max(model.forecasts[3] - on, 0.0)])
+        plan = np.array(committed + [float(rng.uniform(0, 15))])
+        expected = (independent_retailer_total(model, baseline, 1, state.on_hand)
+                    - independent_retailer_total(model, plan, 1, state.on_hand))
+        assert cbt(model, state, plan) == pytest.approx(expected, abs=1e-9)
+        assert expected >= -1e-9
 
 
 def test_roll_forward_trivial_and_inventory_balance():
@@ -540,7 +564,6 @@ def test_a_window_just_past_the_exact_prox_limit_agrees_with_the_exact_prox(monk
     ("holding_cost", float("nan")), ("lost_sales_cost", float("inf")),
     ("retailer_margin", float("nan")), ("supplier_margin", float("-inf")),
     ("smoothing_cost", float("inf")), ("forecasts", [5.0, float("nan")]),
-    ("target_inventory", [float("inf"), 5.0]),
 ])
 def test_a_non_finite_inventory_number_is_a_parameter_error(field, value):
     fields = {"forecasts": [5.0, 5.0], field: value}

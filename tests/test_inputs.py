@@ -27,8 +27,7 @@ VALID = {
     InventoryModel: {"forecasts": [5.0, 5.0]},
     ConsensusConfig: {},
 }
-SAMPLES = {"target_inventory": [5.0, 5.0], "initial_plan": [1.0, 1.0],
-           "initial_prices": [[0.0, 0.0], [0.0, 0.0]]}
+SAMPLES = {"initial_plan": [1.0, 1.0], "initial_prices": [[0.0, 0.0], [0.0, 0.0]]}
 
 
 def _numeric(annotation):
@@ -68,7 +67,7 @@ def test_the_field_walk_finds_every_numeric_field():
     found = {(cls.__name__, f.name) for cls in VALID for f in dataclasses.fields(cls)
              if _numeric(f.type)}
     assert {("ConsensusConfig", "initial_prices"), ("RetailerSpec", "lost_sales_penalty"),
-            ("InventoryModel", "target_inventory"), ("FeePolicy", "under_rate")} <= found
+            ("InventoryModel", "forecasts"), ("FeePolicy", "under_rate")} <= found
     assert ("ConsensusConfig", "max_iters") not in found
 
 

@@ -1,3 +1,4 @@
+import json
 import socket
 import threading
 import time
@@ -588,3 +589,55 @@ def test_a_nan_reservation_is_refused_before_any_server_starts(toy_supplier, mon
 def test_an_infinite_or_finite_reservation_stays_valid(toy_supplier, reservation, taken):
     with protocol.served([SupplierAgent(toy_supplier)], reservation=reservation) as (remote,):
         assert remote.offer([10.0, 90.0], 0.0) is taken
+
+
+QUERY = {"iteration": 1, "dim": 1, "rho": 1.0, "prices": [0.0], "z": [1.0]}
+
+
+@pytest.mark.parametrize("msg, message", [
+    (Message("hello", "s1", payload={"dim": float("nan")}), "dim must be a nonnegative integer"),
+    (Message("hello", "s1", payload={"dim": 2.5}), "dim must be a nonnegative integer"),
+    (Message("hello", "s1", payload={"dim": True}), "dim must be a nonnegative integer"),
+    (Message("query", "s1", payload={**QUERY, "iteration": float("inf")}),
+     "iteration must be a nonnegative integer"),
+    (Message("query", "s1", payload={**QUERY, "iteration": -1}),
+     "iteration must be a nonnegative integer"),
+    (Message("query", "s1", payload={**QUERY, "rho": "1"}), "rho must be a number"),
+    (Message("offer", "s1", payload={"dim": 1, "plan": [1.0], "fee": True}),
+     "fee must be a number"),
+    (Message("error", "s1", payload={"reason": float("nan")}), "reason must be a string"),
+    (Message("bye", ""), "session must be a nonempty string"),
+    (Message("bye", float("nan")), "session must be a nonempty string"),
+], ids=["dim-nan", "dim-fraction", "dim-bool", "iteration-inf", "iteration-negative",
+        "rho-string", "fee-bool", "reason-nan", "session-empty", "session-nan"])
+def test_encode_refuses_a_field_the_decoder_would_refuse(msg, message):
+    # regression: a NaN dim raised json's bare ValueError, and a dim of 2.5
+    # was sent for the peer's decoder to refuse
+    with pytest.raises(ParameterError, match=f"^{message}$"):
+        encode(msg)
+    # the line json would have sent is one the decoder refuses
+    doc = {"kind": msg.kind, "session": msg.session, **msg.payload}
+    with pytest.raises(ParseError):
+        decode(json.dumps(doc).encode())
+
+
+@pytest.mark.parametrize("iteration", [float("inf"), 2.5, -1, True])
+def test_a_bad_iteration_is_refused_before_it_is_sent(toy_supplier, iteration):
+    # regression: int(inf) raised OverflowError, and int(2.5) sent 2
+    with protocol.served([SupplierAgent(toy_supplier)]) as (remote,):
+        with pytest.raises(ParameterError, match="^iteration must be a nonnegative integer$"):
+            remote.respond(np.zeros(2), np.array([10.0, 90.0]), 1.0, iteration)
+        # nothing was sent, so the session still answers
+        got = remote.respond(np.zeros(2), np.array([10.0, 90.0]), 1.0, 1)
+    want = best_response(SupplierAgent(toy_supplier), np.zeros(2), np.array([10.0, 90.0]), 1.0)
+    assert np.array_equal(got, want.plan)
+
+
+def test_a_bad_dim_is_refused_before_the_session_connects():
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(0.05)
+    with pytest.raises(ParameterError, match="^dim must be a nonnegative integer$"):
+        RemoteAgent(listener.getsockname(), dim=2.5)
+    with pytest.raises(TimeoutError):
+        listener.accept()
+    listener.close()

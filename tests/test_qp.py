@@ -385,3 +385,68 @@ def test_a_kept_kkt_matrix_answers_as_one_built_anew(warm_starts):
             events["free set"] += cuts._free != free_before
     assert min(events.values()) >= 20, events
     assert sum(warm_starts) > 100
+
+
+# Calls on which a bound column looked violated only through rounding in x:
+# the free set's optimum with it gave it no weight, and the step taken
+# instead left the dual's simplex, so the master answered a wrong plan with
+# a value below the model's maximum.  The first is a call of the `wire`
+# benchmark round (seed 101, item 37), warm-started on the free set {cut 0}:
+# it answered (36, 0), worth 720, with the bound 744.75, where (58, 0) is
+# worth 962.  The others start cold.
+ROUNDING_CALLS = [
+    ([0.0, 280.0000000000002], [[22.0, 12.0], [18.0, 12.0]], [35.99999999999983, -12.0],
+     1.0, 85.0, [0]),
+    ([-3.0], [[-3.0, 1.0]], [-2.0, -2.0], 0.5, 1.0, []),
+    ([4.0], [[2.0, 1.0]], [2.0, 3.0], 1.0, 0.0, []),
+    ([5.0, 1.0, 3.0], [[-3.0, -1.0, 3.0], [3.0, 3.0, 1.0], [3.0, 2.0, -1.0]],
+     [0.0, 2.0, -1.0], 3.0, math.inf, []),
+    ([3.0, -4.0, -2.0, -2.0], [[-1.0, 3.0], [2.0, 3.0], [1.0, 2.0], [2.0, 1.0]],
+     [0.0, 3.0], 1.0, 2.0, []),
+]
+
+
+@pytest.mark.parametrize("offsets, grads, center, rho, cap, free", ROUNDING_CALLS,
+                         ids=["wire-item-37", "one-cut", "zero-cap", "three-cuts", "four-cuts"])
+def test_a_bound_violated_only_by_rounding_keeps_the_certificate(offsets, grads, center, rho,
+                                                                 cap, free):
+    offsets, grads, center = np.array(offsets), np.array(grads), np.array(center)
+    cuts = CutSet(offsets, grads)
+    cuts._remember(free)
+    x, val = maximize_cut_model(cuts, center, rho, total_cap=cap)
+    assert_certified(offsets, grads, center, rho, cap, x, val)
+    best = slsqp_best(offsets, grads, center, rho, cap, np.random.default_rng(4))
+    assert val >= best - 1e-7 * (1 + abs(best))
+
+
+def test_certificates_hold_on_small_integer_instances():
+    # small integer data make exactly zero multipliers and exactly dependent
+    # columns common; about 2 calls in 1000 of these met the rounding fault
+    rng = np.random.default_rng(7)
+    for _ in range(3000):
+        n, K = int(rng.integers(1, 4)), int(rng.integers(1, 7))
+        grads = rng.integers(-3, 4, size=(K, n)).astype(float)
+        offsets = rng.integers(-5, 6, size=K).astype(float)
+        cap = math.inf if rng.random() < 0.5 else float(rng.integers(0, 6))
+        center = rng.integers(-4, 6, size=n).astype(float)
+        rho = float(rng.choice([1.0, 3.0, 0.5, 2.0]))
+        cuts = CutSet(offsets, grads)
+        x, val = maximize_cut_model(cuts, center, rho, total_cap=cap)
+        assert_certified(cuts.offsets, cuts.grads, center, rho, cap, x, val)
+
+
+def test_a_singular_free_set_still_answers_with_a_sound_bound():
+    # cuts with slopes of 1e8 under a zero cap at rho = 1e-6: the master's
+    # last free set has a singular KKT system, and the loop ends on it
+    offsets = np.array([0.4, -0.2, -0.4, 0.4, 0.2, -0.4, 0.30000000000000004])
+    grads = 1e8 * np.array([[1.0, 1.0, 0.0], [0.0, 0.0, -1.0], [-1.0, 0.0, -1.0],
+                            [-1.0, 1.0, -1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
+                            [1.0, -1.0, -1.0]])
+    center, rho = np.array([2.0, 0.0, 0.0]), 1e-6
+    cuts = CutSet(offsets, grads)
+    x, val = maximize_cut_model(cuts, center, rho, total_cap=0.0)
+    free, cols, kkt = cuts._last_free(rho)
+    assert _qp._free_optimum(cols, cuts._q[free], center, rho, kkt) is None
+    # the cap leaves x = 0 alone feasible, worth min(offsets) - rho/2 |center|^2
+    assert np.array_equal(x, np.zeros(3))
+    assert val >= model_value(offsets, grads, center, rho, x)

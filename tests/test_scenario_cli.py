@@ -200,8 +200,8 @@ REJECTIONS = [
      "fee", "fee: roi_rate must be below 1"),
     ("horizon-below-one", edited("toy_dynamic", {"dynamic.horizon": 0}),
      "dynamic", "dynamic: planning horizon must be at least one week"),
-    ("target-length", edited("toy_dynamic", {"dynamic.target_inventory": [1, 2]}),
-     "dynamic", "dynamic: target_inventory must match the forecasts"),
+    ("target-inventory-unknown", edited("toy_dynamic", {"dynamic.target_inventory": [1, 2]}),
+     "dynamic.target_inventory", "dynamic.target_inventory: unknown field"),
 ]
 
 
@@ -737,6 +737,16 @@ def test_a_non_finite_alpha_flag_exits_2(alpha, capsys):
     # transfer identity and the CLI exited 3 on bad input
     assert main(["--scenario", "toy", "--alpha", alpha]) == 2
     assert "fee parameter alpha must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("eps_abs", -1), ("eps_rel", -0.5)])
+def test_a_negative_consensus_tolerance_exits_2(key, value, tmp_path, capsys):
+    # regression: the scenario loaded, and a cpp run spent all 5000
+    # iterations to report converged: false
+    scn = tmp_path / "bad.scn"
+    scn.write_text(json.dumps(edited("toy", {f"consensus.{key}": value})))
+    assert main(["--scenario", str(scn), "--mode", "cpp"]) == 2
+    assert f"consensus: {key} must be nonnegative" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key, value, message", [

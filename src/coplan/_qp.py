@@ -32,6 +32,7 @@ the same loop, so both end on the same optimum up to rounding.
 
 import numpy as np
 
+from .errors import ParameterError
 from .transport import exceeds
 
 # An entry of the dual gradient counts as negative only beyond this multiple
@@ -52,6 +53,10 @@ def project_capped(x, total_cap):
     css = np.cumsum(u) - total_cap
     ks = np.arange(1, x.size + 1)
     valid = u - css / ks > 0
+    if not valid.any():  # the largest entry is NaN or +inf, or so large that the cap rounds away
+        raise ParameterError(f"cannot project a point whose largest entry is {u[0]:.3g} onto a "
+                             f"cap of {total_cap:.6g}: it is not finite, or too large for the "
+                             "cap to register")
     k = int(ks[valid][-1])
     tau = css[k - 1] / k
     return np.maximum(x - tau, 0.0)

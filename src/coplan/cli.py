@@ -69,8 +69,12 @@ def main(argv=None):
         return 3
     sys.stdout.write(report.text)
     if args.json:
-        with open(args.json, "w") as fh:
-            fh.write(report.to_json())
+        try:
+            with open(args.json, "w") as fh:
+                fh.write(report.to_json())
+        except OSError as exc:
+            print(f"error: cannot write {args.json}: {exc.strerror or exc}", file=sys.stderr)
+            return 2
     return 0
 
 

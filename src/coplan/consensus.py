@@ -15,7 +15,7 @@ the iteration converges to a maximizer of the summed utilities.
 
 import json
 from dataclasses import dataclass, replace
-from math import inf, sqrt
+from math import inf, isfinite, sqrt
 
 import numpy as np
 
@@ -320,7 +320,8 @@ def run_consensus(agents, config=None, trace=None):
     iteration: its number, ``z``, both residuals and the ``rho`` the next
     queries carry.  The run reads only the endpoints' answers and evaluates
     no utility of its own.  A run that exhausts ``max_iters`` returns its
-    last state with ``converged=False`` rather than raising.
+    last state with ``converged=False`` rather than raising; one whose
+    residuals stop being finite raises :class:`NonConvergenceError` at once.
     """
     config = config or ConsensusConfig()
     if not agents:
@@ -365,6 +366,9 @@ def run_consensus(agents, config=None, trace=None):
                 and state.r_dual <= config.eps_abs + config.eps_rel * state.rho * znorm):
             converged = True
             break
+        if not (isfinite(state.r_primal) and isfinite(state.r_dual)):
+            raise NonConvergenceError(
+                f"consensus residuals are not finite at iteration {it}: a number overflowed")
 
     return ConsensusResult(
         plan=np.maximum(state.z, 0.0),

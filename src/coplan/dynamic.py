@@ -279,16 +279,13 @@ class DynamicSupplierAgent(_WindowAgent):
     """Supplier flow utility over the free weeks, anchored at the last issued
     order (and any committed prefix) for the smoothing term.
 
-    Its exact prox keeps the Hessian of the last ``rho`` and the bounds it
-    pinned at the last call, where the next call's pinning starts.  When
-    nothing is pinned, a first solve with every entry nonnegative is the
-    answer: there is no bound to release.
+    Its exact prox keeps the Hessian of the last ``rho`` and nothing else:
+    each call frees its nonnegativity bounds afresh.
     """
 
     def __init__(self, model, state, prefix=()):
         super().__init__(model, state, prefix)
         self._hessian = (None, None)   # (rho, H)
-        self._pinned = np.zeros(self.dim, dtype=bool)
 
     def evaluate(self, plan):
         weekly, grad = _supplier_weeks(self.model, self._orders(plan), self.state)
@@ -296,8 +293,8 @@ class DynamicSupplierAgent(_WindowAgent):
 
     def prox_respond(self, prices, z, rho):
         """Exact proximal best response: the objective is a strictly concave
-        quadratic with a tridiagonal Hessian, solved by active-set pinning of
-        the nonnegativity bounds (cutting planes would crawl on it)."""
+        quadratic with a tridiagonal Hessian, solved by freeing the
+        nonnegativity bounds one way only (cutting planes would crawl on it)."""
         n = self.dim
         m, kappa = self.model.supplier_margin, self.model.smoothing_cost
         prices = np.asarray(prices, dtype=float)
@@ -311,29 +308,19 @@ class DynamicSupplierAgent(_WindowAgent):
         b = m - prices + rho * z
         b[0] += 2.0 * kappa * (float(self.prefix[-1]) if self.prefix.size
                                else self.state.last_order)
-        pinned = self._pinned
-        for _ in range(4 * n + 8):
-            if not pinned.any():
-                y = np.linalg.solve(H, b)
-                if not y.min() < -1e-12:
-                    # nothing is pinned, so nothing is released
-                    self._pinned = pinned
-                    return np.maximum(y, 0.0)
-            else:
-                y = np.zeros(n)
-                free = ~pinned
-                if free.any():
-                    y[free] = np.linalg.solve(H[np.ix_(free, free)], b[free])
-            if y.min() < -1e-12:  # pinned entries are 0: a free one is negative
-                pinned = pinned | (y < -1e-12)
-                continue
-            slack_grad = b - H @ y
-            release = pinned & (slack_grad > 1e-12)
-            if not release.any():
-                self._pinned = pinned
+        # H is an M-matrix (positive definite, off-diagonal <= 0), so the free
+        # set only grows and no bound is ever released (Chandrasekaran's
+        # method; Cottle, Pang & Stone, 1992): it ends within n + 1 solves
+        free = b > 1e-12
+        while not free.all():
+            y = np.zeros(n)
+            if free.any():
+                y[free] = np.linalg.solve(H[np.ix_(free, free)], b[free])
+            grow = ~free & (b - H @ y > 1e-12)
+            if not grow.any():
                 return np.maximum(y, 0.0)
-            pinned = pinned & ~release
-        raise ParameterError("supplier prox active set failed to settle")  # pragma: no cover
+            free |= grow
+        return np.maximum(np.linalg.solve(H, b), 0.0)
 
 
 @dataclass(frozen=True)

@@ -130,6 +130,8 @@ def decode(line):
         raise ParseError("invalid utf-8", offset=exc.start) from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid json: {exc.msg}", offset=exc.pos) from exc
+    except RecursionError:  # a few thousand nested brackets fit in a line
+        raise ParseError("invalid json: nesting too deep") from None
     if not isinstance(doc, dict):
         raise ParseError("message must be a json object")
     kind = doc.get("kind")

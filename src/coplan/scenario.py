@@ -253,10 +253,14 @@ def load_scenario(path):
         text = p.read_text()
     except OSError as exc:
         raise SchemaError(str(path), f"cannot read scenario: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SchemaError(str(path), f"not utf-8 text (byte {exc.start})") from None
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(str(path), f"invalid json: {exc.msg} (line {exc.lineno})") from exc
+    except RecursionError:
+        raise SchemaError(str(path), "invalid json: nesting too deep") from None
     return scenario_from_dict(doc, name=p.stem)
 
 

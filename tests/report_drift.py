@@ -32,10 +32,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def emit(root, workload, seed):
-    """Print, one JSON string per line, each item's report JSON (or
-    ``"Type: message"`` if it raised) under the coplan of ``root``."""
-    sys.path[:0] = [str(Path(root) / "src"), str(ROOT / "perfbench")]
+def round_outputs(workload, seed):
+    """Yield each item's report JSON (or ``"Type: message"`` if it raised)
+    under the coplan and the ``workloads`` module that ``sys.path`` finds."""
     import workloads
     from coplan import reports, scenario
 
@@ -45,6 +44,14 @@ def emit(root, workload, seed):
                               analyses=workloads.ANALYSES[workload]).to_json()
         except Exception as exc:  # a raising item is part of the digest and the comparison too
             out = f"{type(exc).__name__}: {exc}\n"
+        yield out
+
+
+def emit(root, workload, seed):
+    """Print, one JSON string per line, each item's output under the coplan
+    of ``root``."""
+    sys.path[:0] = [str(Path(root) / "src"), str(ROOT / "perfbench")]
+    for out in round_outputs(workload, seed):
         print(json.dumps(out), flush=True)
 
 

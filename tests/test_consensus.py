@@ -448,6 +448,24 @@ def test_a_negative_consensus_tolerance_is_a_parameter_error(field):
     assert getattr(ConsensusConfig(**{field: 0}), field) == 0.0
 
 
+class Overflowing:
+    """An endpoint whose answer has overflowed."""
+    dim = 2
+
+    def respond(self, prices, z, rho, iteration):
+        return np.array([np.inf, 0.0])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf in the step
+def test_non_finite_residuals_stop_the_run_at_once(toy_supplier):
+    # regression: a run on NaN went on to max_iters, and its plan then failed
+    # the projection onto the cap with an IndexError
+    records = []
+    with pytest.raises(NonConvergenceError, match="residuals are not finite at iteration 1"):
+        run_consensus([Overflowing(), SupplierAgent(toy_supplier)], trace=records.append)
+    assert len(records) == 1
+
+
 def test_run_consensus_checks_its_agents_and_its_start(toy_retailer, toy_supplier):
     agents = [RetailerAgent(toy_retailer), SupplierAgent(toy_supplier)]
     with pytest.raises(ParameterError, match="at least one agent is required"):

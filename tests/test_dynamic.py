@@ -468,8 +468,7 @@ def test_wide_windows_keep_the_cutting_plane_response():
 
 
 def test_supplier_prox_after_a_penalty_change_matches_a_fresh_agent():
-    # the prox keeps its Hessian per rho and starts pinning from its last
-    # pinned bounds; neither may change the answer
+    # the prox keeps its Hessian per rho, which may not change the answer
     rng = np.random.default_rng(71)
     for _ in range(60):
         model, state, prefix = random_window(rng, int(rng.integers(1, 7)))
@@ -520,9 +519,10 @@ def full_pinning_prox(agent, pinned, prices, z, rho):
 def test_supplier_prox_matches_the_full_pinning_loop_bit_for_bit():
     rng = np.random.default_rng(73)
     pins = releases = 0
-    for _ in range(80):
+    for k in range(80):
         model, state, prefix = random_window(rng, int(rng.integers(1, 9)))
-        model = replace(model, smoothing_cost=float(rng.uniform(0.05, 2.0)),
+        # every fifth window has no smoothing cost, so a diagonal Hessian
+        model = replace(model, smoothing_cost=float(rng.uniform(0.05, 2.0)) * (k % 5 > 0),
                         supplier_margin=float(rng.uniform(0.5, 5.0)))
         agent = DynamicSupplierAgent(model, state, prefix)
         pinned = np.zeros(agent.dim, dtype=bool)
@@ -536,11 +536,10 @@ def test_supplier_prox_matches_the_full_pinning_loop_bit_for_bit():
             got = agent.prox_respond(prices, z, rho)
             want, now_pinned = full_pinning_prox(agent, pinned, prices, z, rho)
             assert got.tobytes() == want.tobytes()
-            assert np.array_equal(agent._pinned, now_pinned)
             pins += int(now_pinned.any())
             releases += int((pinned & ~now_pinned).any())
             pinned = now_pinned
-    assert pins >= 30 and releases >= 20  # 40 and 29 with this seed
+    assert pins >= 30 and releases >= 20  # 50 and 39 with this seed
 
 
 def test_a_window_just_past_the_exact_prox_limit_agrees_with_the_exact_prox(monkeypatch):

@@ -292,6 +292,56 @@ def test_query_with_a_number_too_large_for_a_float_gets_error(toy_supplier, fiel
     assert np.array_equal(got, want.plan)
 
 
+DEEP_QUERY = (b'{"kind":"query","session":"s1","iteration":1,"dim":2,"rho":1.0,'
+              b'"z":[10.0,90.0],"prices":' + b"[" * 1000 + b"]" * 1000 + b"}\n")
+
+
+def test_a_deeply_nested_query_gets_error_and_no_thread_dies(toy_supplier, toy_supplier_server,
+                                                             monkeypatch):
+    # regression: on this 2 KB line json's RecursionError escaped decode, the
+    # session thread died and the client saw the stream close with no error reply
+    died = []
+    monkeypatch.setattr(threading, "excepthook", died.append)
+    with pytest.raises(ParseError, match="nesting too deep"):
+        decode(DEEP_QUERY)
+    replies = exchange(toy_supplier_server.address, HELLO, DEEP_QUERY)
+    assert [r.kind for r in replies] == ["error"]
+    assert "nesting too deep" in replies[0].payload["reason"]
+    remote = RemoteAgent(toy_supplier_server.address, dim=2)
+    try:
+        got = remote.respond(np.zeros(2), np.array([10.0, 90.0]), 1.0, 1)
+    finally:
+        remote.close()
+    want = best_response(SupplierAgent(toy_supplier), np.zeros(2), np.array([10.0, 90.0]), 1.0)
+    assert np.array_equal(got, want.plan)
+    assert died == []
+
+
+def test_a_deeply_nested_reply_is_a_parse_error_for_the_client():
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def reply_deep():
+        conn, _ = listener.accept()
+        conn.settimeout(10.0)
+        buf = b""
+        while buf.count(b"\n") < 2:  # hello and query, in one chunk or more
+            buf += conn.recv(65536)
+        conn.sendall(b'{"kind":"response","session":"s","iteration":1,"dim":2,"plan":'
+                     + b"[" * 1000 + b"]" * 1000 + b"}\n")
+        conn.close()
+
+    thread = threading.Thread(target=reply_deep, daemon=True)
+    thread.start()
+    remote = RemoteAgent(listener.getsockname(), dim=2)
+    try:
+        with pytest.raises(ParseError, match="nesting too deep"):
+            remote.respond(np.zeros(2), np.zeros(2), 1.0, 1)
+    finally:
+        thread.join(10.0)
+        remote.close()
+        listener.close()
+
+
 def test_offer_of_wrong_dimension_gets_error(toy_supplier_server):
     offer = Message("offer", "s1", payload={"dim": 3, "plan": [1.0, 2.0, 3.0], "fee": 0.0})
     replies = exchange(toy_supplier_server.address, HELLO, offer)

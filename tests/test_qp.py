@@ -6,6 +6,7 @@ from scipy.optimize import minimize
 
 from coplan import _qp
 from coplan._qp import CutSet, maximize_cut_model, project_capped
+from coplan.errors import ParameterError
 
 
 def model_value(offsets, grads, center, rho, x):
@@ -64,6 +65,15 @@ def test_projection_capped_matches_bruteforce():
         grid = [project_capped(x + rng.normal(scale=0.1, size=n), cap) for _ in range(30)]
         dist = np.sum((y - x) ** 2)
         assert all(np.sum((g - x) ** 2) >= dist - 1e-9 for g in grid)
+
+
+@pytest.mark.parametrize("x", [[np.nan, 1.0], [np.inf, 1.0], [1e300, 1e300], [1e20, 0.0]],
+                         ids=["nan", "inf", "sum-overflows", "swamps-the-cap"])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy warns of the overflow on its way
+def test_projection_refuses_a_point_its_cap_cannot_register(x):
+    # regression: each ended in an IndexError: no entry passed the threshold test
+    with pytest.raises(ParameterError, match="cannot project a point whose largest entry is"):
+        project_capped(np.array(x), 1.0)
 
 
 def test_matches_dense_grid_in_2d():

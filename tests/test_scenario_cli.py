@@ -784,14 +784,47 @@ def test_all_analyses_skip_dynamic_without_a_dynamic_block(tmp_path):
     ("directory", "cannot read scenario: "),
     ("invalid-json", "invalid json: Expecting ',' delimiter (line 2)"),
     ("analyses", "unknown analyses ['bogus']"),
+    # regressions: each of these ended in a traceback
+    ("not-utf-8", "utf16.scn: not utf-8 text (byte 0)"),
+    ("nested-too-deep", "deep.scn: invalid json: nesting too deep"),
+    ("json-missing-dir", "no/r.json: No such file or directory"),
+    ("json-directory", ": Is a directory"),
 ])
 def test_unusable_cli_input_exits_2(case, message, tmp_path, capsys):
     bad = tmp_path / "bad.scn"
     bad.write_text('{"name": "x",\n "retailer": {} "supplier": {}}')
+    (tmp_path / "utf16.scn").write_bytes(b"\xff\xfe{}")
+    (tmp_path / "deep.scn").write_text("[" * 1000 + "]" * 1000)
+    toy_json = ["--scenario", "toy", "--analyses", "jit", "--json"]
     argv = {"bundled": ["--scenario", "nosuch"],
             "directory": ["--scenario", str(tmp_path)],
             "invalid-json": ["--scenario", str(bad)],
-            "analyses": ["--scenario", "toy", "--analyses", "jit,bogus"]}[case]
+            "analyses": ["--scenario", "toy", "--analyses", "jit,bogus"],
+            "not-utf-8": ["--scenario", str(tmp_path / "utf16.scn")],
+            "nested-too-deep": ["--scenario", str(tmp_path / "deep.scn")],
+            "json-missing-dir": [*toy_json, str(tmp_path / "no" / "r.json")],
+            "json-directory": [*toy_json, str(tmp_path)]}[case]
     assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+# rho = 1e-300 puts the master's first plan near 1e287, which swamps the
+# retailer's cap of 100; forecasts of 1e308 overflow the window totals, and
+# consensus ran on NaN to max_iters.  Both ended in an IndexError where the
+# plan is projected onto its cap.
+@pytest.mark.parametrize("base, edits, analyses, message", [
+    ("toy", {"consensus.rho": 1e-300, "mode": "cpp"}, "jit,firstbest",
+     "cannot project a point whose largest entry is 1.14e+287 onto a cap of 100"),
+    ("toy", {"consensus.rho": 1e-300, "mode": "protocol"}, "jit,firstbest",
+     "cannot project a point whose largest entry is 1.14e+287 onto a cap of 100"),
+    ("toy_dynamic", {"dynamic.forecasts": [1e308] * 6}, "dynamic",
+     "consensus residuals are not finite at iteration 1"),
+], ids=["tiny-rho-cpp", "tiny-rho-protocol", "huge-forecasts"])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy warns of the overflow on its way
+def test_an_overflowing_number_exits_2(base, edits, analyses, message, tmp_path, capsys):
+    scn = tmp_path / "overflow.scn"
+    scn.write_text(json.dumps(edited(base, edits)))
+    assert main(["--scenario", str(scn), "--analyses", analyses]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err

@@ -30,6 +30,8 @@ cold from the most violated cut.  Either start is a dual-feasible point of
 the same loop, so both end on the same optimum up to rounding.
 """
 
+import math
+
 import numpy as np
 
 from .errors import ParameterError
@@ -45,21 +47,24 @@ def project_capped(x, total_cap):
     """Euclidean projection onto {y >= 0} intersected with {sum(y) <= cap}."""
     x = np.asarray(x, dtype=float)
     y = np.maximum(x, 0.0)
-    if y.sum() <= total_cap:
-        return y
-    if total_cap <= 0.0:
-        return np.zeros_like(x)
-    u = np.sort(x)[::-1]
-    css = np.cumsum(u) - total_cap
-    ks = np.arange(1, x.size + 1)
-    valid = u - css / ks > 0
-    if not valid.any():  # the largest entry is NaN or +inf, or so large that the cap rounds away
-        raise ParameterError(f"cannot project a point whose largest entry is {u[0]:.3g} onto a "
-                             f"cap of {total_cap:.6g}: it is not finite, or too large for the "
-                             "cap to register")
-    k = int(ks[valid][-1])
-    tau = css[k - 1] / k
-    return np.maximum(x - tau, 0.0)
+    total = float(y.sum())
+    if math.isfinite(total):
+        if total <= total_cap:
+            return y
+        if total_cap <= 0.0:
+            return np.zeros_like(x)
+        u = np.sort(x)[::-1]
+        css = np.cumsum(u) - total_cap
+        ks = np.arange(1, x.size + 1)
+        valid = u - css / ks > 0
+        if valid.any():
+            k = int(ks[valid][-1])
+            tau = css[k - 1] / k
+            return np.maximum(x - tau, 0.0)
+    # an entry is NaN or +inf, or the point is so large that the cap rounds away
+    raise ParameterError(f"cannot project a point whose largest entry is {np.max(x):.3g} onto a "
+                         f"cap of {total_cap:.6g}: it is not finite, or too large for the "
+                         "cap to register")
 
 
 class CutSet:

@@ -22,6 +22,7 @@ so each week's joint plan comes out of the same coordination loop used for
 the static case.
 """
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -57,6 +58,9 @@ class InventoryModel:
         f = np.asarray(checked(self.forecasts, "forecasts", nonnegative=True), dtype=float)
         if f.ndim != 1 or f.size == 0:
             raise DimensionError("forecasts must be a nonempty vector")
+        # python floats overflow to inf where numpy's sum would warn first
+        if not math.isfinite(sum(f.tolist())):
+            raise ParameterError("forecasts must have a finite total")
         for name in ("holding_cost", "lost_sales_cost", "retailer_margin", "supplier_margin",
                      "smoothing_cost"):
             object.__setattr__(self, name, checked(getattr(self, name), name,

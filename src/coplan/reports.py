@@ -37,7 +37,6 @@ from .mechanism import (
 )
 from .protocol import served
 from .scenario import ANALYSES
-from .transport import as_plan
 
 
 @dataclass(frozen=True)
@@ -95,14 +94,17 @@ def run(scenario, analyses=ANALYSES, trace=None, seed=None):
 
 
 def _evaluator(spec):
-    """The utility ``spec(plan)`` solved once per distinct plan, keyed on its bytes
-    after ``as_plan`` (an infeasible plan raises on every call, before any solve)."""
+    """The utility ``spec(plan)`` solved once per distinct plan, keyed on the
+    shape and bytes of ``plan`` as a float array.  Only an answer is stored, so
+    a plan that ``as_plan`` refuses raises on every call, before any solve; a
+    stored plan answers with no check at all."""
     memo = {}
 
     def at(plan):
-        key = as_plan(plan, spec.n_inbound).tobytes()
+        v = np.asarray(plan, dtype=float)
+        key = v.shape, v.tobytes()
         if key not in memo:
-            memo[key] = spec(plan)
+            memo[key] = spec(v)
         return memo[key]
     return at
 

@@ -22,6 +22,14 @@ shadow prices for the inequality-form problem:
 An optional virtual slack source with a per-unit penalty makes short problems
 feasible (lost-sales style).
 
+One engine, ``_solve``, runs the simplex on row lists and wraps its answer
+in arrays.  :func:`solve_transport` checks its arguments by the input rule and
+builds the tableau before it calls the engine.  A :class:`RetailerSpec` or
+:class:`SupplierSpec` checks its data once, when it is built, and keeps
+read-only copies with its tableau and totals, so :func:`retailer_utility` and
+:func:`supplier_utility` check only the plan (:func:`as_plan`) before they
+call the engine.  Both paths give the same bits on the same data.
+
 A solution carries its final basis tree.  The costs fix the tree's duals, so
 for new bounds and requirements under the same costs the tree is still
 optimal whenever its own flows stay nonnegative, which one pass from its
@@ -63,8 +71,9 @@ def checked(values, name, nonnegative=False, message=None):
             finite, negative = math.isfinite(out), out < 0
         else:
             out = np.asarray(values, dtype=float)
-            finite = np.isfinite(out).all()
-            # np.min's reduction without its wrapper, and with an empty array's answer
+            # np.all's and np.min's reductions without their wrappers, and
+            # with an empty array's answer
+            finite = np.logical_and.reduce(np.isfinite(out), axis=None)
             negative = nonnegative and np.minimum.reduce(out, axis=None, initial=0.0) < 0
             out = float(out) if out.ndim == 0 else out
     except OverflowError:  # an integer too large for a float
@@ -87,7 +96,7 @@ def as_plan(x, dim=None):
     v = _as_array(x, "plan")
     if dim is not None and v.size != dim:
         raise DimensionError(f"plan has {v.size} entries, expected {dim}")
-    if (v < -_TOL).any():
+    if np.minimum.reduce(v, initial=0.0) < -_TOL:
         raise ParameterError("plan entries must be nonnegative")
     return np.maximum(v, 0.0)
 
@@ -248,48 +257,56 @@ def solve_transport(costs, row_bounds, col_requirements, slack_penalty=None):
 
     total_bound = float(rb.sum())
     total_req = float(cq.sum())
-    use_slack = slack_penalty is not None
-    if not use_slack and exceeds(total_req, total_bound):
+    tableau = [row + [0.0] for row in c.tolist()]
+    if slack_penalty is not None:
+        tableau.append([checked(slack_penalty, "slack_penalty", nonnegative=True)] * cols + [0.0])
+    elif exceeds(total_req, total_bound):
         raise InfeasibleError(
             f"requirements total {total_req} exceed capacity {total_bound} and no slack penalty is set"
         )
+    return _solve(tableau, rb, cq, total_bound, total_req)
 
-    if rows == 0 and not use_slack:  # no source and, past the check above, nothing to ship
+
+def _solve(tableau, row_bounds, col_requirements, total_bound, total_req):
+    """The engine behind :func:`solve_transport` and both utilities, on data
+    that already passed the input rule.  ``tableau`` holds the balanced
+    tableau's cost rows: one per row bound, then the slack source's if there
+    is one more, each ending in the disposal column's 0.0.  ``row_bounds`` and
+    ``col_requirements`` are float arrays; ``total_bound`` and ``total_req``
+    are their numpy sums, and the first is read only without a slack row."""
+    rows, cols = row_bounds.size, col_requirements.size
+    use_slack = len(tableau) > rows
+    if rows == 0 and not use_slack:  # no source and, past the capacity test, nothing to ship
         return TransportSolution(flow=np.zeros((0, cols)), objective=0.0, row_duals=np.zeros(0),
                                  col_duals=np.zeros(cols), slack_flow=np.zeros(cols))
 
-    # Balanced tableau: optional slack row, then a free-disposal dummy column.
-    tab_costs = np.zeros((rows + use_slack, cols + 1))
-    tab_costs[:rows, :cols] = c
-    supply = rb.tolist()
-    surplus = total_bound - total_req
+    # Balanced tableau: the slack row supplies the whole requirement, and the
+    # disposal column takes what the rows hold beyond it.
+    supply = row_bounds.tolist()
     if use_slack:
-        tab_costs[rows, :cols] = checked(slack_penalty, "slack_penalty", nonnegative=True)
         supply.append(total_req)
         surplus = float(np.array(supply).sum() - total_req)
-    if surplus < 0:
-        surplus = 0.0
-    demand = cq.tolist()
-    demand.append(surplus)
+    else:
+        surplus = total_bound - total_req
+    demand = col_requirements.tolist()
+    demand.append(max(surplus, 0.0))
 
     flow, tree = _northwest_corner(supply, demand)
-    pot, pivots = _optimize(tab_costs.tolist(), flow, tree)
-    flow = np.array(flow)
+    pot, pivots = _optimize(tableau, flow, tree)
 
     # Normalize duals so the dummy (disposal) column prices at zero; the
     # resulting row duals are <= 0 and column duals >= 0.
     shift = pot[-1]
-    pot = np.array(pot)
-    u = pot[:len(supply)] + shift
-    w = pot[len(supply):] - shift
-
-    kept = np.where(np.abs(flow) < _EPS, 0.0, flow)
-    real_flow = kept[:rows, :cols].copy()
-    slack_flow = kept[rows, :cols].copy() if use_slack else np.zeros(cols)
-    objective = float((tab_costs[:, :cols] * flow[:, :cols]).sum())
+    u = [p + shift for p in pot[:len(supply)]]
     row_duals = np.minimum(u[:rows], 0.0)
-    col_duals = np.maximum(w[:cols], 0.0)
-    dual_objective = float(rb @ row_duals + cq @ col_duals)
+    col_duals = np.maximum([p - shift for p in pot[len(supply):-1]], 0.0)
+    kept = [[0.0 if -_EPS < f < _EPS else f for f in row[:cols]] for row in flow]
+    real_flow = np.array(kept[:rows]).reshape(rows, cols)
+    slack_flow = np.array(kept[rows]) if use_slack else np.zeros(cols)
+    # summed by numpy: past 8 terms its pairwise order fixes the bits
+    objective = float(np.array([c * f for c_row, f_row in zip(tableau, flow)
+                                for c, f in zip(c_row, f_row[:cols])]).sum())
+    dual_objective = float(row_bounds @ row_duals + col_requirements @ col_duals)
     if use_slack:
         # The slack row contributes its own capacity term; it is priced at the
         # (nonpositive) dual of the slack bound, zero whenever slack is unused.
@@ -341,10 +358,20 @@ def basis_holds(order, row_bounds, col_requirements, slack):
     return True
 
 
+def _owned(values, name, ndim=1, nonnegative=False):
+    """A spec's own read-only float copy of ``values``, past the input rule."""
+    v = np.array(_as_array(values, name, ndim, nonnegative))
+    v.flags.writeable = False
+    return v
+
+
 @dataclass(frozen=True)
 class RetailerSpec:
     """Retailer private data: demand per outbound node, inbound-to-outbound
-    arc costs, gross profit per unit of demand, and the lost-sales penalty."""
+    arc costs, gross profit per unit of demand, and the lost-sales penalty.
+
+    The spec checks its data once and keeps read-only copies, with the
+    transport tableau and the totals its utility reads on every call."""
 
     demand: np.ndarray            # (J,) units per outbound node
     arc_costs: np.ndarray         # (I, J) $/unit inbound -> outbound
@@ -352,9 +379,9 @@ class RetailerSpec:
     lost_sales_penalty: float = 1000.0
 
     def __post_init__(self):
-        d = _as_array(self.demand, "demand", nonnegative=True)
-        g = _as_array(self.gross_profit, "gross_profit")
-        c = _as_array(self.arc_costs, "arc_costs", ndim=2, nonnegative=True)
+        d = _owned(self.demand, "demand", nonnegative=True)
+        g = _owned(self.gross_profit, "gross_profit")
+        c = _owned(self.arc_costs, "arc_costs", ndim=2, nonnegative=True)
         penalty = checked(self.lost_sales_penalty, "lost_sales_penalty")
         if c.shape[1] != d.size or g.size != d.size:
             raise DimensionError(
@@ -362,10 +389,13 @@ class RetailerSpec:
             )
         if c.size and penalty <= float(c.max()):
             raise ParameterError("lost_sales_penalty must exceed every arc cost")
-        object.__setattr__(self, "demand", d)
-        object.__setattr__(self, "arc_costs", c)
-        object.__setattr__(self, "gross_profit", g)
-        object.__setattr__(self, "lost_sales_penalty", penalty)
+        tableau = [(*row, 0.0) for row in c.tolist()]
+        tableau.append((penalty,) * d.size + (0.0,))  # the lost-sales slack row
+        kept = dict(demand=d, arc_costs=c, gross_profit=g, lost_sales_penalty=penalty,
+                    _tableau=tuple(tableau), _demand_total=float(d.sum()),
+                    _gross_profit_total=float(g @ d))
+        for name, value in kept.items():
+            object.__setattr__(self, name, value)
 
     @property
     def n_inbound(self):
@@ -373,7 +403,7 @@ class RetailerSpec:
 
     @property
     def gross_profit_total(self):
-        return float(self.gross_profit @ self.demand)
+        return self._gross_profit_total
 
     def __call__(self, plan):
         """This retailer's :func:`retailer_utility` at ``plan``."""
@@ -383,23 +413,28 @@ class RetailerSpec:
 @dataclass(frozen=True)
 class SupplierSpec:
     """Supplier private data: source capacities, source-to-inbound arc costs,
-    and gross profit per unit supplied to each inbound node."""
+    and gross profit per unit supplied to each inbound node.
+
+    Like :class:`RetailerSpec`, it checks its data once and keeps read-only
+    copies, its transport tableau and its total capacity."""
 
     capacities: np.ndarray        # (K,) units per source node
     arc_costs: np.ndarray         # (K, I) $/unit source -> inbound
     gross_profit: np.ndarray      # (I,) $/unit supplied
 
     def __post_init__(self):
-        s = _as_array(self.capacities, "capacities", nonnegative=True)
-        g = _as_array(self.gross_profit, "gross_profit")
-        c = _as_array(self.arc_costs, "arc_costs", ndim=2, nonnegative=True)
+        s = _owned(self.capacities, "capacities", nonnegative=True)
+        g = _owned(self.gross_profit, "gross_profit")
+        c = _owned(self.arc_costs, "arc_costs", ndim=2, nonnegative=True)
         if c.shape[0] != s.size or c.shape[1] != g.size:
             raise DimensionError(
                 f"arc_costs {c.shape}, capacities ({s.size},), gross_profit ({g.size},) disagree"
             )
-        object.__setattr__(self, "capacities", s)
-        object.__setattr__(self, "arc_costs", c)
-        object.__setattr__(self, "gross_profit", g)
+        kept = dict(capacities=s, arc_costs=c, gross_profit=g,
+                    _tableau=tuple((*row, 0.0) for row in c.tolist()),
+                    _total_capacity=float(s.sum()))
+        for name, value in kept.items():
+            object.__setattr__(self, name, value)
 
     @property
     def n_inbound(self):
@@ -407,7 +442,7 @@ class SupplierSpec:
 
     @property
     def total_capacity(self):
-        return float(self.capacities.sum())
+        return self._total_capacity
 
     def __call__(self, plan):
         """This supplier's :func:`supplier_utility` at ``plan``."""
@@ -429,12 +464,7 @@ def retailer_utility(spec, plan):
     cost when inbound node i holds at most ``plan[i]`` units.  Unmet demand is
     lost at the spec's penalty, so the value is finite for every plan >= 0."""
     x = as_plan(plan, spec.n_inbound)
-    sol = solve_transport(
-        spec.arc_costs,
-        row_bounds=x,
-        col_requirements=spec.demand,
-        slack_penalty=spec.lost_sales_penalty,
-    )
+    sol = _solve(spec._tableau, x, spec.demand, None, spec._demand_total)
     value = spec.gross_profit_total - sol.objective
     # One more unit of supply at node i is worth the (nonnegative) shadow
     # price of its capacity constraint.
@@ -447,11 +477,12 @@ def supplier_utility(spec, plan):
     transport cost.  Raises :class:`InfeasibleError` when the plan exceeds
     total source capacity."""
     x = as_plan(plan, spec.n_inbound)
-    if exceeds(x.sum(), spec.total_capacity):
+    total = float(x.sum())
+    if exceeds(total, spec.total_capacity):
         raise InfeasibleError(
-            f"plan total {x.sum():.6f} exceeds supplier capacity {spec.total_capacity:.6f}"
+            f"plan total {total:.6f} exceeds supplier capacity {spec.total_capacity:.6f}"
         )
-    sol = solve_transport(spec.arc_costs, row_bounds=spec.capacities, col_requirements=x)
+    sol = _solve(spec._tableau, spec.capacities, x, spec.total_capacity, total)
     value = float(spec.gross_profit @ x) - sol.objective
     grad = spec.gross_profit - sol.col_duals
     return UtilityEvaluation(value=value, supergradient=grad, transport=sol)

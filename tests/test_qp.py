@@ -67,13 +67,17 @@ def test_projection_capped_matches_bruteforce():
         assert all(np.sum((g - x) ** 2) >= dist - 1e-9 for g in grid)
 
 
-@pytest.mark.parametrize("x", [[np.nan, 1.0], [np.inf, 1.0], [1e300, 1e300], [1e20, 0.0]],
-                         ids=["nan", "inf", "sum-overflows", "swamps-the-cap"])
+@pytest.mark.parametrize("x, cap", [([np.nan, 1.0], 1.0), ([np.inf, 1.0], 1.0),
+                                    ([1e300, 1e300], 1.0), ([1e20, 0.0], 1.0),
+                                    ([np.inf, 1.0], math.inf), ([np.nan, 1.0], 0.0)],
+                         ids=["nan", "inf", "sum-overflows", "swamps-the-cap",
+                              "inf-uncapped", "nan-zero-cap"])
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy warns of the overflow on its way
-def test_projection_refuses_a_point_its_cap_cannot_register(x):
-    # regression: each ended in an IndexError: no entry passed the threshold test
+def test_projection_refuses_a_point_its_cap_cannot_register(x, cap):
+    # regression: the first four ended in an IndexError (no entry passed the
+    # threshold test); the last two returned before it, inf and zeros
     with pytest.raises(ParameterError, match="cannot project a point whose largest entry is"):
-        project_capped(np.array(x), 1.0)
+        project_capped(np.array(x), cap)
 
 
 def test_matches_dense_grid_in_2d():

@@ -223,6 +223,65 @@ def test_spec_validation():
         )
 
 
+def test_a_spec_owns_its_data():
+    # a spec keeps read-only copies of what it checked: a NaN written into the
+    # caller's arrays afterwards reaches neither utility, and the spec's own
+    # arrays refuse writes
+    given = {"demand": np.array([40.0, 60.0]), "r_costs": np.array([[1.0, 5.0], [4.0, 2.0]]),
+             "r_profit": np.array([20.0, 20.0]), "capacities": np.array([100.0, 10.0]),
+             "s_costs": np.array([[10.0, 1.0], [1.0, 10.0]]), "s_profit": np.array([20.0, 20.0])}
+    retailer = RetailerSpec(demand=given["demand"], arc_costs=given["r_costs"],
+                            gross_profit=given["r_profit"])
+    supplier = SupplierSpec(capacities=given["capacities"], arc_costs=given["s_costs"],
+                            gross_profit=given["s_profit"])
+    plan = [30.0, 50.0]
+    before = retailer_utility(retailer, plan), supplier_utility(supplier, plan)
+    for values in given.values():
+        values[...] = np.nan
+    after = retailer_utility(retailer, plan), supplier_utility(supplier, plan)
+    for old, new in zip(before, after):
+        assert new.value == old.value
+        assert new.supergradient.tobytes() == old.supergradient.tobytes()
+        assert _bits(new.transport) == _bits(old.transport)
+    for values in (retailer.demand, retailer.arc_costs, retailer.gross_profit,
+                   supplier.capacities, supplier.arc_costs, supplier.gross_profit):
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 1.0
+
+
+def test_the_utilities_and_solve_transport_agree_bit_for_bit():
+    # both utilities hand the engine their spec's checked data, and
+    # solve_transport checks its arguments first: on the same arrays both
+    # paths give the same flows, duals, slack flows, objectives and pivots,
+    # also past 8 entries, where numpy's sums go pairwise.  Plans in thirds
+    # bring rounding; the retailer's short plans draw on its slack row
+    rng = np.random.default_rng(30)
+    seen = {"short": 0, "covered": 0, "nine": 0}
+    for k in range(240):
+        inbound, outbound, sources = (int(n) for n in rng.integers(1, 21, size=3))
+        third = 3.0 if k % 2 else 1.0
+        retailer = RetailerSpec(demand=rng.integers(0, 60, outbound) / third,
+                                arc_costs=rng.integers(1, 9, (inbound, outbound)),
+                                gross_profit=rng.uniform(10.0, 30.0, outbound),
+                                lost_sales_penalty=20.0)
+        supplier = SupplierSpec(capacities=rng.integers(0, 80, sources) / third,
+                                arc_costs=rng.integers(1, 9, (sources, inbound)),
+                                gross_profit=rng.uniform(10.0, 30.0, inbound))
+        x = rng.integers(0, 40, inbound) / third
+        ev = retailer_utility(retailer, x)
+        sol = solve_transport(retailer.arc_costs, x, retailer.demand,
+                              slack_penalty=retailer.lost_sales_penalty)
+        assert _bits(ev.transport) == _bits(sol) and ev.transport.pivots == sol.pivots, k
+        seen["short" if sol.slack_flow.sum() > 0 else "covered"] += 1
+        seen["nine"] += max(inbound, outbound, sources) >= 9
+        scale = supplier.total_capacity / x.sum() if x.sum() else 0.0
+        y = np.floor(x * min(scale, 1.0) * third) / third
+        ev = supplier_utility(supplier, y)
+        sol = solve_transport(supplier.arc_costs, supplier.capacities, y)
+        assert _bits(ev.transport) == _bits(sol) and ev.transport.pivots == sol.pivots, k
+    assert min(seen.values()) >= 30, seen
+
+
 def test_northwest_corner_places_a_leftover_sliver_of_supply():
     # the second default menu plan of the 12-region shortage pair stored as
     # perfbench/faults/northwest-corner-index.json: its thirds leave about
